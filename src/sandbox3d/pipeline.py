@@ -95,8 +95,8 @@ from .trajectory_control import (
 from .voting_clustering import (
     ClusterParams,
     ConsensusParams,
-    build_sandbox,
     filter_by_consensus,
+    fit_sandbox,
 )
 
 MODES = ("full", "mv_only", "text_coords", "proxy_render", "pointcloud_render")
@@ -668,11 +668,15 @@ def run_pipeline(
         if skipped:
             notes.append(f"elevation skipped {skipped} (view, object) pairs")
 
-        # (7) consensus voting, clustering, box fitting
+        # (7) consensus voting once per category; its result feeds the box
+        # stage (clustering, box fitting), proxies.json and proxy_render
+        filtered_by_label = {
+            label: filter_by_consensus(clouds, config.consensus)
+            for label, clouds in clouds_by_label.items()
+        }
         try:
-            scene = build_sandbox(
-                clouds_by_label,
-                config.consensus,
+            scene = fit_sandbox(
+                filtered_by_label,
                 config.cluster,
                 input_view.pose,
                 input_view.intrinsics,
@@ -683,10 +687,6 @@ def run_pipeline(
             if mode in ("full", "text_coords"):
                 degradations.append(f"empty sandbox: {err}")
                 mode = "mv_only"
-        filtered_by_label = {
-            label: filter_by_consensus(clouds, config.consensus)
-            for label, clouds in clouds_by_label.items()
-        }
         counts = {
             label: {"lifted": sum(len(c) for c in clouds_by_label[label]), "kept": len(kept)}
             for label, kept in sorted(filtered_by_label.items())

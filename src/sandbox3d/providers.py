@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import base64
 import hashlib
+import http.client
 import json
 import math
 import os
@@ -55,7 +56,7 @@ from .synthetic_world import (
     depth_from_stack,
     image_from_stack,
     instance_depths,
-    mask_from_stack,
+    mask_from_stack,  # noqa: F401  perfbench's tracer patches this module's binding
 )
 
 # Marker phrases the prompt templates must contain; mock VLMs key on them to
@@ -113,15 +114,6 @@ class DecodeParams:
 
 
 @dataclass(frozen=True)
-class VlmDecision:
-    """A raw model reply plus whatever was parsed out of it."""
-
-    raw_text: str
-    payload: object
-    thinking_text: str | None = None
-
-
-@dataclass(frozen=True)
 class CameraEstimate:
     depth: DepthGrid
     intrinsics: CameraIntrinsics
@@ -163,52 +155,66 @@ class StoredDepthEstimator:
 # ── Synthetic (analytic) providers ─────────────────────────────────────────
 
 
-class SyntheticRig:
-    """Shared per-world cache of analytic hit-depth stacks, keyed by pose.
+@dataclass(frozen=True)
+class _RigView:
+    """One pose rendered and reduced: everything consumers read, no stack."""
 
-    Rendering a view costs one ray-slab pass per cuboid; every consumer of
-    the same pose (depth, image, every instance mask) reuses one stack.
+    image: np.ndarray  # (h, w, 3) uint8, read-only
+    depth: DepthGrid
+    nearest: np.ndarray  # (h, w) int8: cuboid index, k for ground, -1 for sky
+
+
+class SyntheticRig:
+    """Shared per-world cache of analytic views, keyed by pose.
+
+    Rendering a view costs one ray-slab pass per cuboid. The (k+1, h, w)
+    hit-depth stack is reduced at once to the image, the depth and a
+    nearest-instance raster; every consumer of the same pose (frames, hint
+    lookups, every instance mask) reads those.
     """
 
     def __init__(self, world: WorldSpec):
         self.world = world
-        self._stacks: dict[bytes, np.ndarray] = {}
+        self._views: dict[bytes, _RigView] = {}
         self._lock = threading.Lock()
 
     def stack(self, pose: CameraPose) -> np.ndarray:
+        """Render the hit-depth stack of one pose (uncached)."""
+        return instance_depths(self.world, pose, self.world.input_intrinsics)
+
+    def _view(self, pose: CameraPose) -> _RigView:
         key = pose.rotation.tobytes() + pose.translation.tobytes()
         with self._lock:
-            hit = self._stacks.get(key)
+            hit = self._views.get(key)
         if hit is not None:
             return hit
-        stack = instance_depths(self.world, pose, self.world.input_intrinsics)
+        stack = self.stack(pose)
+        image = image_from_stack(self.world, stack)
+        nearest = np.argmin(stack, axis=0).astype(np.int8)  # at most 8 cuboids + ground
+        nearest[~np.isfinite(stack.min(axis=0))] = -1
+        image.flags.writeable = False
+        nearest.flags.writeable = False
+        view = _RigView(image, depth_from_stack(stack), nearest)
         with self._lock:
-            return self._stacks.setdefault(key, stack)
+            return self._views.setdefault(key, view)
 
     def frame(self, pose: CameraPose, view_id: ViewId) -> ViewFrame:
-        stack = self.stack(pose)
-        return ViewFrame(
-            image_from_stack(self.world, stack),
-            depth_from_stack(stack),
-            self.world.input_intrinsics,
-            pose,
-            view_id,
-        )
+        view = self._view(pose)
+        return ViewFrame(view.image, view.depth, self.world.input_intrinsics, pose, view_id)
 
     def input_frame(self) -> ViewFrame:
         return self.frame(self.world.input_pose, INPUT_VIEW)
 
     def nearest_instance(self, pose: CameraPose, x: int, y: int) -> int | None:
         """Index into world.cuboids of the nearest hit at a pixel, else None."""
-        stack = self.stack(pose)
-        column = stack[:, y, x]
-        idx = int(np.argmin(column))
-        if not np.isfinite(column[idx]) or idx == len(self.world.cuboids):
+        idx = int(self._view(pose).nearest[y, x])
+        if idx < 0 or idx == len(self.world.cuboids):
             return None  # sky or ground
         return idx
 
     def mask_bits(self, pose: CameraPose, index: int) -> np.ndarray:
-        return mask_from_stack(self.stack(pose), index)
+        """Boolean raster of pixels whose nearest hit is cuboid `index`."""
+        return self._view(pose).nearest == index
 
 
 class SyntheticMultiViewGenerator:
@@ -510,13 +516,19 @@ ENV_BASE_URL = "SANDBOX3D_BASE_URL"
 ENV_MODEL = "SANDBOX3D_MODEL"
 
 
+# Transport failures urllib lets through unwrapped while it waits for or reads
+# a response; ConnectionResetError covers http.client.RemoteDisconnected.
+_TRANSIENT_TRANSPORT_ERRORS = (TimeoutError, ConnectionResetError, http.client.IncompleteRead)
+
+
 class HttpChatVlm:
     """OpenAI-compatible chat-completions client over urllib.
 
     Text parts become `text` content items; images are inlined as base64
-    PNG data URLs. 429 and 5xx responses are retried with exponential
-    backoff (max 3 retries); other errors, including auth failures and
-    redirects, are terminal. A semaphore caps concurrent in-flight requests.
+    PNG data URLs. 429 and 5xx responses, timeouts, connection resets and
+    truncated bodies are retried with exponential backoff (max 3 retries);
+    other errors, including auth failures and redirects, are terminal. A
+    semaphore caps concurrent in-flight requests.
     """
 
     def __init__(
@@ -558,7 +570,6 @@ class HttpChatVlm:
             headers["Authorization"] = f"Bearer {self.api_key}"
         url = self.base_url + "/chat/completions"
 
-        last_status = None
         for attempt in range(self.max_retries + 1):
             req = urllib.request.Request(url, data=body, headers=headers, method="POST")
             try:
@@ -566,20 +577,22 @@ class HttpChatVlm:
                     with self._opener.open(req, timeout=self.timeout_s) as resp:
                         raw = resp.read()
             except urllib.error.HTTPError as err:
-                last_status = err.code
                 err.close()
-                if err.code == 429 or err.code >= 500:
-                    if attempt < self.max_retries:
-                        self._sleep(self.backoff_s * (2**attempt))
-                        continue
-                    raise ProviderError(
-                        f"HTTP {err.code} after {attempt + 1} attempts", status=err.code
-                    ) from err
-                raise ProviderError(f"HTTP {err.code}", status=err.code) from err
+                if err.code != 429 and err.code < 500:
+                    raise ProviderError(f"HTTP {err.code}", status=err.code) from err
+                failure, status, cause = f"HTTP {err.code}", err.code, err
             except urllib.error.URLError as err:
                 raise ProviderError(f"request failed: {err.reason}") from err
-            return self._extract_text(raw)
-        raise ProviderError(f"HTTP {last_status}", status=last_status)  # pragma: no cover
+            except _TRANSIENT_TRANSPORT_ERRORS as err:
+                failure, status, cause = f"{type(err).__name__}: {err}", None, err
+            else:
+                return self._extract_text(raw)
+            if attempt == self.max_retries:
+                raise ProviderError(
+                    f"{failure} after {attempt + 1} attempts", status=status
+                ) from cause
+            self._sleep(self.backoff_s * (2**attempt))
+        raise AssertionError("retry loop always returns or raises")  # pragma: no cover
 
     @staticmethod
     def _message(turn: ChatTurn) -> dict:

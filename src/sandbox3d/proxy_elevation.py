@@ -82,12 +82,20 @@ def fps_sample(mask: InstanceMask, n: int) -> np.ndarray:
     if len(pts) <= n:
         return pts.copy()
 
-    # Seed: nearest pixel to the centroid. Distances are scaled by len^2 so
-    # the comparison stays exact integer arithmetic (fine up to ~1k images).
+    # Seed: nearest pixel to the centroid (sx/k, sy/k). With sx = qx*k + rx
+    # and u = x - qx, the exact squared distance scaled by k^2 is
+    #   (k*u - rx)^2 + (k*v - ry)^2 = k*e + rx^2 + ry^2,
+    #   e = k*(u^2 + v^2) - 2*(rx*u + ry*v),
+    # so e ranks pixels exactly as the distance does. |e| stays below
+    # k*(w^2 + h^2) + 2k*(w + h), far inside int64 for any image that fits
+    # in memory, where squaring k*x wraps from about 2 megapixels.
     k = len(pts)
-    sx, sy = int(xs.sum()), int(ys.sum())
-    d_seed = (k * pts[:, 0] - sx) ** 2 + (k * pts[:, 1] - sy) ** 2
-    seed = int(np.argmin(d_seed))  # argmin takes the first, i.e. smallest index
+    qx, rx = divmod(int(xs.sum()), k)
+    qy, ry = divmod(int(ys.sum()), k)
+    u = pts[:, 0] - qx
+    v = pts[:, 1] - qy
+    e = k * (u * u + v * v) - 2 * (rx * u + ry * v)
+    seed = int(np.argmin(e))  # argmin takes the first, i.e. smallest index
 
     chosen = [seed]
     diff = pts - pts[seed]

@@ -129,6 +129,9 @@ def dbscan(points: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
     tree = cKDTree(pts)
     neighbors = tree.query_ball_point(pts, r=eps, return_sorted=True)
 
+    # A point is labelled when it is enqueued, so it enters the queue at most
+    # once, where breadth-first order first reaches it. A point labelled -1
+    # earlier is a non-core border: adopted, never expanded.
     cluster = 0
     for i in range(n):
         if labels[i] != -2:
@@ -137,17 +140,15 @@ def dbscan(points: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
             labels[i] = -1
             continue
         labels[i] = cluster
-        queue = deque(neighbors[i])
+        queue = deque([i])
         while queue:
             j = queue.popleft()
-            if labels[j] == -1:  # border point found earlier, adopt it
-                labels[j] = cluster
+            if len(neighbors[j]) < min_pts:
                 continue
-            if labels[j] != -2:
-                continue
-            labels[j] = cluster
-            if len(neighbors[j]) >= min_pts:
-                queue.extend(neighbors[j])
+            nb = np.asarray(neighbors[j], dtype=np.intp)
+            fresh = nb[labels[nb] < 0]  # unvisited or noise: not queued yet
+            labels[fresh] = cluster
+            queue.extend(fresh.tolist())
         cluster += 1
     return labels
 
@@ -233,14 +234,35 @@ def build_sandbox(
 ) -> SandboxScene:
     """Fuse per-view, per-category proxy clouds into a box scene.
 
-    Per category: consensus filter, DBSCAN, drop clusters smaller than
-    min_cluster_size, PCA-fit the rest. Instance ids are assigned in
-    (category, cluster size descending, centroid lexicographic) order.
+    Per category: consensus filter, then the box stage of `fit_sandbox`.
     Raises EmptySandboxError when no box survives.
     """
+    kept_by_label = {
+        label: filter_by_consensus(clouds, consensus) for label, clouds in clouds_by_label.items()
+    }
+    return fit_sandbox(
+        kept_by_label, cluster, origin_pose, origin_intrinsics, up_axis, outlier_filter
+    )
+
+
+def fit_sandbox(
+    kept_by_label: Mapping[str, ProxyCloud],
+    cluster: ClusterParams,
+    origin_pose: CameraPose,
+    origin_intrinsics: CameraIntrinsics,
+    up_axis=(0.0, -1.0, 0.0),
+    outlier_filter: bool = False,
+) -> SandboxScene:
+    """Box stage over consensus-filtered clouds, one per category.
+
+    Per category: the optional k-NN outlier filter, DBSCAN, drop clusters
+    smaller than min_cluster_size, PCA-fit the rest. Instance ids are assigned in (category, cluster size
+    descending, centroid lexicographic) order. Raises EmptySandboxError
+    when no box survives.
+    """
     candidates = []
-    for label in sorted(clouds_by_label):
-        kept = filter_by_consensus(clouds_by_label[label], consensus)
+    for label in sorted(kept_by_label):
+        kept = kept_by_label[label]
         if outlier_filter:
             kept = remove_knn_outliers(kept)
         if len(kept) == 0:

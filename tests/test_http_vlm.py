@@ -1,7 +1,10 @@
 from __future__ import annotations
 
 import base64
+import http.client
 import json
+import socket
+import struct
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -19,11 +22,16 @@ from sandbox3d.providers import (
 
 
 class _StubHandler(BaseHTTPRequestHandler):
-    """Replays a scripted list of (status, body) responses and records requests."""
+    """Replays a scripted list of (status, body) responses and records requests.
+
+    Two pseudo statuses cut a 200 response off after half its body: "stall"
+    then waits (until `release` is set), "reset" aborts the connection.
+    """
 
     script = []
     requests = []
     lock = threading.Lock()
+    release = threading.Event()
 
     def do_POST(self):
         length = int(self.headers.get("Content-Length", "0"))
@@ -45,6 +53,21 @@ class _StubHandler(BaseHTTPRequestHandler):
             self.send_header("Location", "http://127.0.0.1:1/steal")
             self.end_headers()
             return
+        if status in ("stall", "reset"):
+            self.send_response(200)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(payload)))
+            self.end_headers()
+            self.wfile.write(payload[: len(payload) // 2])
+            self.wfile.flush()
+            if status == "stall":
+                _StubHandler.release.wait(timeout=10)
+            else:  # linger 0: close sends RST instead of FIN
+                self.connection.setsockopt(
+                    socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+                )
+                self.connection.close()
+            return
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(payload)))
@@ -62,9 +85,13 @@ def stub_server():
     thread.start()
     _StubHandler.script = []
     _StubHandler.requests = []
+    _StubHandler.release.clear()
     yield f"http://127.0.0.1:{server.server_port}"
+    _StubHandler.release.set()
     server.shutdown()
     server.server_close()
+    thread.join(timeout=10)
+    assert not thread.is_alive()
 
 
 def _ok_body(text="hello"):
@@ -122,6 +149,28 @@ def test_retry_budget_exhausted(stub_server):
     with pytest.raises(ProviderError) as err:
         client.complete([ChatTurn("user", (TextPart("q"),))])
     assert err.value.status == 503
+    assert len(_StubHandler.requests) == 4
+    assert sleeps == [0.01, 0.02, 0.04]
+
+
+def test_stalled_body_times_out_and_is_retried(stub_server):
+    _StubHandler.script = [("stall", _ok_body("too slow")), (200, _ok_body("second try"))]
+    sleeps = []
+    client = _client(stub_server, timeout_s=0.2, backoff_s=0.01, sleep=sleeps.append)
+    out = client.complete([ChatTurn("user", (TextPart("q"),))])
+    assert out == "second try"
+    assert len(_StubHandler.requests) == 2
+    assert sleeps == [0.01]
+
+
+def test_reset_connection_is_retried_then_a_provider_error(stub_server):
+    _StubHandler.script = [("reset", _ok_body("cut off"))] * 4
+    sleeps = []
+    client = _client(stub_server, max_retries=3, backoff_s=0.01, sleep=sleeps.append)
+    with pytest.raises(ProviderError, match="after 4 attempts") as err:
+        client.complete([ChatTurn("user", (TextPart("q"),))])
+    assert err.value.status is None
+    assert isinstance(err.value.__cause__, (ConnectionResetError, http.client.IncompleteRead))
     assert len(_StubHandler.requests) == 4
     assert sleeps == [0.01, 0.02, 0.04]
 

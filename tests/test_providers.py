@@ -12,6 +12,7 @@ from sandbox3d import (
     MissingViewError,
     ObjectNotFoundError,
     ProviderError,
+    providers,
 )
 from sandbox3d.providers import (
     BundleMultiViewGenerator,
@@ -33,7 +34,13 @@ from sandbox3d.providers import (
 )
 from sandbox3d.proxy_elevation import ObjectHint
 from sandbox3d.scene_model import InstanceMask, ViewId
-from sandbox3d.synthetic_world import generate_world
+from sandbox3d.synthetic_world import (
+    depth_from_stack,
+    generate_world,
+    image_from_stack,
+    instance_depths,
+    mask_from_stack,
+)
 from sandbox3d.trajectory_control import AbstractMotion, instantiate_trajectories
 
 
@@ -178,12 +185,42 @@ def test_rig_nearest_instance_and_masks():
     assert rig.nearest_instance(world.input_pose, 2, 2) is None
 
 
-def test_rig_caches_stacks():
-    world = generate_world(5, 2)
+def test_rig_renders_each_pose_once_and_reduces_it_exactly(monkeypatch):
+    world = generate_world(5, 3)
+    intr = world.input_intrinsics
+    renders = []
+
+    def counting_instance_depths(w, pose, i):
+        renders.append(pose)
+        return instance_depths(w, pose, i)
+
+    monkeypatch.setattr(providers, "instance_depths", counting_instance_depths)
     rig = SyntheticRig(world)
-    a = rig.stack(world.input_pose)
-    b = rig.stack(world.input_pose)
-    assert a is b
+    spec = instantiate_trajectories(AbstractMotion.LEFT, 1, 3, 0.25)[0]
+    poses = [world.input_pose, *(world.input_pose.compose(rel) for rel in spec.poses)]
+    k = len(world.cuboids)
+    for _ in range(2):  # the second round is served from the cache
+        for pose in poses:
+            stack = instance_depths(world, pose, intr)  # fresh reference, uncounted
+            frame = rig.frame(pose, ViewId(0, 0))
+            np.testing.assert_array_equal(frame.image, image_from_stack(world, stack))
+            np.testing.assert_array_equal(frame.depth.values, depth_from_stack(stack).values)
+            for i in range(k + 1):  # every cuboid, then the ground
+                np.testing.assert_array_equal(rig.mask_bits(pose, i), mask_from_stack(stack, i))
+            assert not frame.image.flags.writeable
+            assert not frame.depth.values.flags.writeable
+            assert not rig._view(pose).nearest.flags.writeable
+    assert len(renders) == len(poses)
+
+    # a sky pixel and a ground pixel of the input view belong to no cuboid
+    sky = (2, 2)
+    ground = (intr.width // 2, intr.height - 1)
+    stack = instance_depths(world, world.input_pose, intr)
+    assert not np.isfinite(stack[:, sky[1], sky[0]]).any()
+    assert mask_from_stack(stack, k)[ground[1], ground[0]]
+    assert rig.nearest_instance(world.input_pose, *sky) is None
+    assert rig.nearest_instance(world.input_pose, *ground) is None
+    assert len(renders) == len(poses)
 
 
 def test_synthetic_generator_composes_poses():

@@ -103,6 +103,19 @@ def test_fps_seed_is_nearest_to_centroid():
     np.testing.assert_array_equal(pts, [[2, 0]])
 
 
+def test_fps_seed_is_exact_on_a_large_mask():
+    # 3 megapixels: k*x - sum(x) reaches 3e9 at the edges, so the scaled
+    # squared distance passes 9.2e18 and wraps in int64; the oracle ranks
+    # the same scaled distances in Python integers
+    bits = np.ones((1500, 2000), dtype=bool)
+    ys, xs = np.nonzero(bits)
+    k, sx, sy = len(xs), int(xs.sum()), int(ys.sum())
+    d = (k * xs.astype(object) - sx) ** 2 + (k * ys.astype(object) - sy) ** 2
+    i = int(np.argmin(d))  # first, i.e. smallest row-major index, on ties
+    assert (int(xs[i]), int(ys[i])) == (999, 749)
+    np.testing.assert_array_equal(fps_sample(_mask(bits), 1), [[xs[i], ys[i]]])
+
+
 def test_fps_greedy_takes_farthest_then_covers():
     bits = np.zeros((1, 10), dtype=bool)
     bits[0, [0, 1, 2, 9]] = True

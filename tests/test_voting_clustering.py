@@ -152,6 +152,61 @@ def test_dbscan_border_point_adopted_by_first_cluster():
     assert set(labels[:4]) == {0} and set(labels[5:]) == {1}
 
 
+def _dbscan_reference(pts, eps, min_pts):
+    """Dense O(n^2) rule: components of core points numbered by their lowest
+    index, each border point in the lowest-numbered adjacent cluster."""
+    diff = pts[:, None, :] - pts[None, :, :]
+    adj = (diff * diff).sum(axis=2) <= eps * eps  # inclusive, self-adjacent
+    core = adj.sum(axis=1) >= min_pts
+    labels = np.full(len(pts), -1, dtype=np.int64)
+    cluster = 0
+    for i in np.flatnonzero(core):
+        if labels[i] != -1:
+            continue
+        labels[i] = cluster
+        stack = [i]
+        while stack:
+            j = stack.pop()
+            for k in np.flatnonzero(adj[j] & core & (labels == -1)):
+                labels[k] = cluster
+                stack.append(k)
+        cluster += 1
+    for i in np.flatnonzero(~core):
+        near = np.flatnonzero(adj[i] & core)
+        if len(near):
+            labels[i] = labels[near].min()
+    return labels
+
+
+def _dense_blob_case():
+    # about the per-category cloud size of one full-mode question, where
+    # re-enqueueing every neighbour of every core point was quadratic
+    rng = np.random.default_rng(11)
+    blob = rng.uniform(-0.3, 0.3, size=(1500, 3))
+    strays = rng.uniform(-1.5, 1.5, size=(30, 3))
+    return np.concatenate([strays[:15], blob, strays[15:]]), 0.25, 5, None
+
+
+def _shared_border_case():
+    # index 0 lies within eps of a core point of each cluster but is no core
+    # itself; it is visited first (noise), then adopted by cluster 0, which
+    # is the cluster on the right because its points come first
+    right = [[x, 0.0, 0.0] for x in (0.76, 0.84, 0.92, 1.0)]
+    left = [[x, 0.0, 0.0] for x in (0.0, 0.08, 0.16, 0.24)]
+    pts = np.array([[0.5, 0.0, 0.0], *right, *left])
+    return pts, 0.27, 4, [0, 0, 0, 0, 0, 1, 1, 1, 1]
+
+
+@pytest.mark.parametrize("case", [_dense_blob_case, _shared_border_case])
+def test_dbscan_matches_dense_reference(case):
+    pts, eps, min_pts, expected = case()
+    labels = dbscan(pts, eps, min_pts)
+    np.testing.assert_array_equal(labels, _dbscan_reference(pts, eps, min_pts))
+    assert (labels == 0).sum() >= min_pts  # the case is not all noise
+    if expected is not None:
+        assert list(labels) == expected
+
+
 def test_dbscan_eps_inclusive_min_pts_counts_self():
     # two points exactly eps apart are neighbors; min_pts=2 makes both core
     pts = np.array([[0.0, 0.0, 0.0], [0.3, 0.0, 0.0]])
