@@ -25,7 +25,7 @@ import os
 import re
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -377,29 +377,39 @@ class SceneCache:
     def __init__(self, config: PipelineConfig):
         self.config = config
         self._lock = threading.Lock()
-        self._synthetic: dict[tuple, SyntheticSceneProvider] = {}
-        self._bundles: dict[str, SceneBundle] = {}
+        self._synthetic: dict[tuple, Future] = {}
+        self._bundles: dict[str, Future] = {}
         self._http_vlm: HttpChatVlm | None = None
+
+    def _load_once(self, table: dict, key, load):
+        """The first caller for a key loads it; later callers wait for that
+        result. A failed load is not cached and raises in every waiter."""
+        with self._lock:
+            future = table.get(key)
+            owner = future is None
+            if owner:
+                future = table[key] = Future()
+        if owner:
+            try:
+                future.set_result(load())
+            except BaseException as err:
+                with self._lock:
+                    del table[key]
+                future.set_exception(err)
+                raise
+        return future.result()
 
     def synthetic_provider(self, scene: dict) -> SyntheticSceneProvider:
         bounds = _bounds_from_scene(scene)
         key = (int(scene["seed"]), int(scene["objects"]), bounds)
-        with self._lock:
-            hit = self._synthetic.get(key)
-        if hit is not None:
-            return hit
-        provider = SyntheticSceneProvider(generate_world(key[0], key[1], bounds))
-        with self._lock:
-            return self._synthetic.setdefault(key, provider)
+        return self._load_once(
+            self._synthetic,
+            key,
+            lambda: SyntheticSceneProvider(generate_world(key[0], key[1], bounds)),
+        )
 
     def bundle(self, path: str) -> SceneBundle:
-        with self._lock:
-            hit = self._bundles.get(path)
-        if hit is not None:
-            return hit
-        loaded = load_bundle(path)
-        with self._lock:
-            return self._bundles.setdefault(path, loaded)
+        return self._load_once(self._bundles, path, lambda: load_bundle(path))
 
     def _shared_http_vlm(self) -> HttpChatVlm:
         with self._lock:
@@ -469,11 +479,14 @@ class PipelineResult:
 
 
 class _Artifacts:
-    """Deterministic artifact writer; with no directory, every call no-ops."""
+    """Deterministic artifact writer; with no directory, every call no-ops.
+
+    Callers test `enabled` before building a payload that costs work."""
 
     def __init__(self, out_dir):
         self.root = Path(out_dir) if out_dir is not None else None
-        if self.root is not None:
+        self.enabled = self.root is not None
+        if self.enabled:
             self.root.mkdir(parents=True, exist_ok=True)
 
     def text(self, name: str, content: str) -> None:
@@ -539,7 +552,8 @@ def run_pipeline(
 ) -> PipelineResult:
     """Run the ten pipeline stages for one question against one scene."""
     art = _Artifacts(out_dir)
-    art.json("config.json", _config_dict(config))
+    if art.enabled:
+        art.json("config.json", _config_dict(config))
     input_view = providers.input_view
     vlm = providers.vlm
     mode = config.mode
@@ -573,17 +587,18 @@ def run_pipeline(
     trajectories = instantiate_trajectories(
         motion, config.m_candidates, config.t_steps, config.step_m, config.sweep_deg
     )
-    art.json(
-        "trajectories.json",
-        [
-            {
-                "m": spec.trajectory_index,
-                "heading_deg": spec.heading_deg,
-                "poses": [_pose_floats(p) for p in spec.poses],
-            }
-            for spec in trajectories
-        ],
-    )
+    if art.enabled:
+        art.json(
+            "trajectories.json",
+            [
+                {
+                    "m": spec.trajectory_index,
+                    "heading_deg": spec.heading_deg,
+                    "poses": [_pose_floats(p) for p in spec.poses],
+                }
+                for spec in trajectories
+            ],
+        )
 
     # (3) multi-view generation; missing bundle frames drop their trajectory
     frames: list[ViewFrame] = []
@@ -692,7 +707,7 @@ def run_pipeline(
             for label, kept in sorted(filtered_by_label.items())
         }
         art.json("proxies.json", counts)
-        if scene is not None:
+        if scene is not None and art.enabled:
             art.text("sandbox.json", serialize_text_coords(scene))
 
     # (8) mode context: renders or coordinate text
@@ -770,7 +785,8 @@ def run_pipeline(
         coords_text=coords_text,
         extra_frames=tuple(frames) if mode == "mv_only" else (),
     )
-    art.text("prompt.txt", describe_turns(turns))
+    if art.enabled:
+        art.text("prompt.txt", describe_turns(turns))
 
     # (10) answer
     try:

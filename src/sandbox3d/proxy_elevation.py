@@ -44,27 +44,44 @@ class ElevationParams:
             raise ValueError("erosion_iterations must be non-negative")
 
 
+def _bbox(bits: np.ndarray) -> tuple[int, int, int, int] | None:
+    """Half-open (y0, y1, x0, x1) bounding box of the set pixels, or None."""
+    rows = np.flatnonzero(bits.any(axis=1))
+    if len(rows) == 0:
+        return None
+    cols = np.flatnonzero(bits.any(axis=0))
+    return int(rows[0]), int(rows[-1]) + 1, int(cols[0]), int(cols[-1]) + 1
+
+
 def _erode_once(bits: np.ndarray) -> np.ndarray:
-    # 3x3 full square; pixels outside the image count as unset.
-    padded = np.pad(bits, 1, constant_values=False)
+    # 3x3 full square as a 1x3 pass then a 3x1 pass; pixels outside the
+    # array count as unset.
     h, w = bits.shape
-    out = np.ones_like(bits)
-    for dy in range(3):
-        for dx in range(3):
-            out &= padded[dy : dy + h, dx : dx + w]
+    padded = np.zeros((h + 2, w + 2), dtype=bool)
+    padded[1:-1, 1:-1] = bits
+    rows = padded[:, :-2] & padded[:, 1:-1]
+    rows &= padded[:, 2:]
+    out = rows[:-2] & rows[1:-1]
+    out &= rows[2:]
     return out
 
 
 def erode_mask(mask: InstanceMask, iterations: int) -> InstanceMask:
     """Binary erosion; if the result would be empty, the original mask is kept."""
-    bits = mask.bits
+    box = _bbox(mask.bits) if iterations else None
+    if box is None:
+        return mask
+    # Pixels outside the bounding box are unset and erosion never sets a
+    # pixel, so eroding the crop alone is exact.
+    y0, y1, x0, x1 = box
+    bits = mask.bits[y0:y1, x0:x1]
     for _ in range(iterations):
         bits = _erode_once(bits)
         if not bits.any():
             return mask
-    if bits is mask.bits:
-        return mask
-    return InstanceMask(bits, mask.object_id, mask.label)
+    out = np.zeros_like(mask.bits)
+    out[y0:y1, x0:x1] = bits
+    return InstanceMask(out, mask.object_id, mask.label)
 
 
 def fps_sample(mask: InstanceMask, n: int) -> np.ndarray:
@@ -75,12 +92,19 @@ def fps_sample(mask: InstanceMask, n: int) -> np.ndarray:
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    ys, xs = np.nonzero(mask.bits)  # row-major ordering by construction
-    if len(xs) == 0:
+    box = _bbox(mask.bits)
+    if box is None:
         raise EmptyMaskError(f"mask for object {mask.object_id} has no set pixels")
-    pts = np.stack([xs, ys], axis=1).astype(np.int64)
-    if len(pts) <= n:
-        return pts.copy()
+    # Row-major order within the crop is row-major order in the mask, and
+    # distances do not change under the shift, so the crop's coordinates
+    # rank and break ties exactly as the mask's would.
+    y0, y1, x0, x1 = box
+    ys, xs = np.nonzero(mask.bits[y0:y1, x0:x1])
+    xs = xs.astype(np.int64, copy=False)
+    ys = ys.astype(np.int64, copy=False)
+    k = len(xs)
+    if k <= n:
+        return np.stack([xs + x0, ys + y0], axis=1)
 
     # Seed: nearest pixel to the centroid (sx/k, sy/k). With sx = qx*k + rx
     # and u = x - qx, the exact squared distance scaled by k^2 is
@@ -89,24 +113,27 @@ def fps_sample(mask: InstanceMask, n: int) -> np.ndarray:
     # so e ranks pixels exactly as the distance does. |e| stays below
     # k*(w^2 + h^2) + 2k*(w + h), far inside int64 for any image that fits
     # in memory, where squaring k*x wraps from about 2 megapixels.
-    k = len(pts)
     qx, rx = divmod(int(xs.sum()), k)
     qy, ry = divmod(int(ys.sum()), k)
-    u = pts[:, 0] - qx
-    v = pts[:, 1] - qy
+    u = xs - qx
+    v = ys - qy
     e = k * (u * u + v * v) - 2 * (rx * u + ry * v)
-    seed = int(np.argmin(e))  # argmin takes the first, i.e. smallest index
+    j = int(np.argmin(e))  # argmin takes the first, i.e. smallest index
 
-    chosen = [seed]
-    diff = pts - pts[seed]
-    min_d2 = diff[:, 0] ** 2 + diff[:, 1] ** 2
-    for _ in range(n - 1):
-        nxt = int(np.argmax(min_d2))
-        chosen.append(nxt)
-        diff = pts - pts[nxt]
-        d2 = diff[:, 0] ** 2 + diff[:, 1] ** 2
+    chosen = np.empty(n, dtype=np.intp)
+    min_d2 = np.full(k, np.iinfo(np.int64).max, dtype=np.int64)
+    d2 = np.empty(k, dtype=np.int64)
+    dy = np.empty(k, dtype=np.int64)
+    for i in range(n):
+        chosen[i] = j
+        np.subtract(xs, xs[j], out=d2)
+        np.multiply(d2, d2, out=d2)
+        np.subtract(ys, ys[j], out=dy)
+        np.multiply(dy, dy, out=dy)
+        np.add(d2, dy, out=d2)
         np.minimum(min_d2, d2, out=min_d2)
-    return pts[chosen].copy()
+        j = int(min_d2.argmax())  # argmax also takes the first on ties
+    return np.stack([xs[chosen] + x0, ys[chosen] + y0], axis=1)
 
 
 def lift_proxies(

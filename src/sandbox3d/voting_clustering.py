@@ -6,22 +6,26 @@ least n_agree distinct views v != v0 contain a point p' with ||p' - p|| < delta
 (strictly). Surviving points are split into instances with DBSCAN and each
 cluster becomes an oriented box via PCA on the mean-centered covariance.
 
-DBSCAN here has pinned iteration semantics so results are reproducible and
-checkable against a brute-force reference: points are visited in ascending
-index order, cluster ids are assigned in discovery order, neighbor lists are
-ascending, expansion is breadth-first, and border points join the cluster
-that reaches them first. A core point has at least min_pts neighbors within
-eps inclusive, counting itself.
+DBSCAN here has pinned labels so results are reproducible and checkable
+against a brute-force reference. A core point has at least min_pts neighbors
+within eps inclusive, counting itself. Clusters are the connected components
+of the graph linking core points within eps of each other, numbered in order
+of their smallest core index. A non-core point within eps of some core point
+joins the lowest-numbered cluster among those cores; every other point is
+noise (-1). These are the labels of the classic visit-in-index-order,
+breadth-first expansion in which a border point joins the first cluster to
+reach it.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
 from .errors import EmptySandboxError
@@ -60,15 +64,6 @@ class ClusterParams:
                 raise ValueError(f"{name} must be positive")
 
 
-def agree(p: np.ndarray, view_points: np.ndarray, delta: float) -> bool:
-    """True when some point of the other view lies strictly within delta of p."""
-    pts = np.asarray(view_points, dtype=np.float64).reshape(-1, 3)
-    if len(pts) == 0:
-        return False
-    d2 = np.sum((pts - np.asarray(p, dtype=np.float64)) ** 2, axis=1)
-    return bool(d2.min() < delta * delta)
-
-
 def filter_by_consensus(
     clouds: Sequence[ProxyCloud], params: ConsensusParams
 ) -> ProxyCloud:
@@ -83,17 +78,15 @@ def filter_by_consensus(
     uniq = list(dict.fromkeys(merged.view_ids))  # stable order
     pos = {v: i for i, v in enumerate(uniq)}
     view_index = np.array([pos[v] for v in merged.view_ids])
-    by_view = {v: np.flatnonzero(view_index == pos[v]) for v in uniq}
-    trees = {v: cKDTree(merged.xyz[idx]) for v, idx in by_view.items()}
 
+    # One k=1 query per view, asked by every point of the other views: the
+    # point's distance to that view's nearest point decides its vote.
     votes = np.zeros(len(merged), dtype=np.int64)
-    for v0, idx0 in by_view.items():
-        pts0 = merged.xyz[idx0]
-        for v, tree in trees.items():
-            if v == v0:
-                continue
-            dist, _ = tree.query(pts0, k=1)
-            votes[idx0] += dist < params.delta
+    for i in range(len(uniq)):
+        own = view_index == i
+        other = ~own
+        dist, _ = cKDTree(merged.xyz[own]).query(merged.xyz[other], k=1)
+        votes[other] += dist < params.delta
     keep = votes >= params.n_agree
     return ProxyCloud(
         merged.xyz[keep],
@@ -123,33 +116,32 @@ def dbscan(points: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
     """Deterministic DBSCAN; returns per-point cluster labels, -1 for noise."""
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     n = len(pts)
-    labels = np.full(n, -2, dtype=np.int64)  # -2 marks unvisited
+    labels = np.full(n, -1, dtype=np.int64)
     if n == 0:
         return labels
-    tree = cKDTree(pts)
-    neighbors = tree.query_ball_point(pts, r=eps, return_sorted=True)
+    pairs = cKDTree(pts).query_pairs(eps, output_type="ndarray")  # i < j, d <= eps
+    a, b = pairs[:, 0], pairs[:, 1]
+    core = np.bincount(pairs.ravel(), minlength=n) + 1 >= min_pts  # +1: the point itself
 
-    # A point is labelled when it is enqueued, so it enters the queue at most
-    # once, where breadth-first order first reaches it. A point labelled -1
-    # earlier is a non-core border: adopted, never expanded.
-    cluster = 0
-    for i in range(n):
-        if labels[i] != -2:
-            continue
-        if len(neighbors[i]) < min_pts:
-            labels[i] = -1
-            continue
-        labels[i] = cluster
-        queue = deque([i])
-        while queue:
-            j = queue.popleft()
-            if len(neighbors[j]) < min_pts:
-                continue
-            nb = np.asarray(neighbors[j], dtype=np.intp)
-            fresh = nb[labels[nb] < 0]  # unvisited or noise: not queued yet
-            labels[fresh] = cluster
-            queue.extend(fresh.tolist())
-        cluster += 1
+    # Clusters are the connected components of the core-core graph, numbered
+    # by their smallest core index.
+    link = core[a] & core[b]
+    ones = np.ones(int(link.sum()), dtype=np.int8)
+    graph = coo_matrix((ones, (a[link], b[link])), shape=(n, n))
+    _, component = connected_components(graph, directed=False)
+    _, first, inverse = np.unique(component[core], return_index=True, return_inverse=True)
+    rank = np.empty(len(first), dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(len(first))
+    labels[core] = rank[inverse]
+
+    # A border point joins the lowest-numbered cluster among its core
+    # neighbours; n stands for "no core neighbour".
+    border = np.full(n, n, dtype=np.int64)
+    for src, dst in ((a, b), (b, a)):
+        adopt = core[src] & ~core[dst]
+        np.minimum.at(border, dst[adopt], labels[src[adopt]])
+    reached = border < n
+    labels[reached] = border[reached]
     return labels
 
 

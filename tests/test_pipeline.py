@@ -1,15 +1,18 @@
 from __future__ import annotations
 
 import json
+import threading
 
 import numpy as np
 import pytest
 
-from sandbox3d.errors import ConfigError
+from sandbox3d import pipeline
+from sandbox3d.errors import BundleFormatError, ConfigError
 from sandbox3d.pipeline import (
     MODES,
     PipelineConfig,
     ProviderSet,
+    SceneCache,
     _box_yaw_deg,
     compose_prompt,
     config_from_ini,
@@ -644,3 +647,52 @@ def test_run_eval_writes_per_record_artifacts(tmp_path):
     for record in records:
         assert (out / "records" / record.qid / "result.json").is_file()
     assert (out / "report.json").is_file() and (out / "report.csv").is_file()
+
+
+def test_scene_cache_loads_a_raced_bundle_once(monkeypatch):
+    # each load waits for a second concurrent load (or 0.5 s), so two
+    # threads that both miss the cache would both load
+    loads = []
+    second = {"scene": threading.Event(), "broken": threading.Event()}
+
+    def slow_load(path):
+        loads.append(path)
+        if loads.count(path) > 1:
+            second[path].set()
+        second[path].wait(timeout=0.5)
+        if path == "broken":
+            raise BundleFormatError(f"{path}: unreadable")
+        return object()
+
+    monkeypatch.setattr(pipeline, "load_bundle", slow_load)
+    cache = SceneCache(PipelineConfig())
+
+    def race(path):
+        got = [None, None]
+
+        def one(i):
+            try:
+                got[i] = cache.bundle(path)
+            except BundleFormatError as err:
+                got[i] = err
+
+        threads = [threading.Thread(target=one, args=(i,)) for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10)
+            assert not t.is_alive()
+        return got
+
+    first, second_got = race("scene")
+    assert loads == ["scene"]
+    assert first is second_got and first is not None
+    assert cache.bundle("scene") is first
+
+    # a failed load raises in every waiter and is not cached
+    errors = race("broken")
+    assert loads == ["scene", "broken"]
+    assert all(isinstance(e, BundleFormatError) for e in errors)
+    with pytest.raises(BundleFormatError):
+        cache.bundle("broken")
+    assert loads == ["scene", "broken", "broken"]

@@ -25,6 +25,43 @@ def _mask(rows, object_id=0, label="box"):
     return InstanceMask(np.array(rows, dtype=bool), object_id, label)
 
 
+def _edge_masks():
+    """Masks where a bounding-box crop meets the frame: one touching the
+    bottom and right border, one whose bounding box is the whole frame."""
+    border = np.zeros((12, 16), dtype=bool)
+    border[5:, 9:] = True
+    border[7, 12] = False
+    corners = np.zeros((12, 16), dtype=bool)
+    corners[:5, :6] = True
+    corners[8:, 11:] = True
+    corners[3:9, 7] = True
+    return [border, corners]
+
+
+def _fps_reference(bits, n):
+    """The greedy rule in Python integers: seed nearest the centroid, then
+    the largest min-distance, ties by the smallest row-major index."""
+    ys, xs = np.nonzero(bits)
+    pts = [(int(x), int(y)) for x, y in zip(xs, ys)]
+    k = len(pts)
+    if k <= n:
+        return pts
+    sx, sy = sum(x for x, _ in pts), sum(y for _, y in pts)
+
+    def d2(a, b):
+        return (a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2
+
+    # k^2 times the squared distance to the centroid (sx/k, sy/k)
+    seed = min(range(k), key=lambda i: (d2((k * pts[i][0], k * pts[i][1]), (sx, sy)), i))
+    chosen = [seed]
+    min_d2 = [d2(p, pts[seed]) for p in pts]
+    while len(chosen) < n:
+        j = max(range(k), key=lambda i: (min_d2[i], -i))
+        chosen.append(j)
+        min_d2 = [min(m, d2(p, pts[j])) for m, p in zip(min_d2, pts)]
+    return [pts[i] for i in chosen]
+
+
 def test_erode_square_shrinks_by_one_ring():
     # 5x5 solid square erodes to its 3x3 core
     m = erode_mask(_mask(np.ones((5, 5))), 1)
@@ -134,15 +171,16 @@ def test_fps_tie_breaks_by_row_major_index():
 
 def test_fps_deterministic_and_subset():
     rng = np.random.default_rng(7)
-    bits = rng.random((12, 12)) < 0.4
-    m = _mask(bits)
-    a = fps_sample(m, 6)
-    b = fps_sample(m, 6)
-    np.testing.assert_array_equal(a, b)
-    assert len(a) == 6
-    assert all(bits[y, x] for x, y in a)
-    # no duplicates
-    assert len({(int(x), int(y)) for x, y in a}) == 6
+    for bits in [rng.random((12, 12)) < 0.4, *_edge_masks()]:
+        m = _mask(bits)
+        a = fps_sample(m, 6)
+        b = fps_sample(m, 6)
+        np.testing.assert_array_equal(a, b)
+        assert len(a) == 6
+        assert all(bits[y, x] for x, y in a)
+        # no duplicates
+        assert len({(int(x), int(y)) for x, y in a}) == 6
+        np.testing.assert_array_equal(a, _fps_reference(bits, 6))
 
 
 def test_fps_rejects_empty_and_bad_n():
@@ -220,11 +258,13 @@ def test_erode_matches_scipy_reference():
 
     rng = np.random.default_rng(11)
     structure = np.ones((3, 3), dtype=bool)
+    cases = [(bits, iterations) for bits in _edge_masks() for iterations in (1, 2, 3)]
     for _ in range(100):
         bits = rng.random((int(rng.integers(3, 15)), int(rng.integers(3, 15)))) < 0.7
         if not bits.any():
             bits[0, 0] = True
-        iterations = int(rng.integers(1, 4))
+        cases.append((bits, int(rng.integers(1, 4))))
+    for bits, iterations in cases:
         expected = bits
         current = bits
         for _ in range(iterations):

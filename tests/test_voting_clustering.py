@@ -9,12 +9,12 @@ from sandbox3d.scene_model import (
     CameraPose,
     ProxyCloud,
     ViewId,
+    merge_clouds,
     rotation_about_axis,
 )
 from sandbox3d.voting_clustering import (
     ClusterParams,
     ConsensusParams,
-    agree,
     build_sandbox,
     dbscan,
     filter_by_consensus,
@@ -27,6 +27,15 @@ V0, V1, V2 = ViewId(0, 0), ViewId(0, 1), ViewId(1, 0)
 
 def _cloud(pts, view, object_id=0):
     return ProxyCloud.single_view(np.asarray(pts, dtype=np.float64), object_id, view)
+
+
+def agree(p: np.ndarray, view_points: np.ndarray, delta: float) -> bool:
+    """True when some point of the other view lies strictly within delta of p."""
+    pts = np.asarray(view_points, dtype=np.float64).reshape(-1, 3)
+    if len(pts) == 0:
+        return False
+    d2 = np.sum((pts - np.asarray(p, dtype=np.float64)) ** 2, axis=1)
+    return bool(d2.min() < delta * delta)
 
 
 def test_agree_strict_inequality():
@@ -100,6 +109,52 @@ def test_consensus_boundary_distance_excluded():
     kept = filter_by_consensus([a, b, c], ConsensusParams(delta=0.1000001, n_agree=2))
     assert len(kept) == 1
     np.testing.assert_allclose(kept.xyz[0], [0.0, 0.0, 1.0])
+
+
+def _consensus_reference(clouds, params):
+    """Per point, count the other views that `agree` with it."""
+    merged = merge_clouds(clouds)
+    views = list(dict.fromkeys(merged.view_ids))
+    of_view = {v: merged.xyz[[w == v for w in merged.view_ids]] for v in views}
+    keep = [
+        sum(agree(p, of_view[v], params.delta) for v in views if v != v0) >= params.n_agree
+        for p, v0 in zip(merged.xyz, merged.view_ids)
+    ]
+    return merged, np.array(keep, dtype=bool)
+
+
+def _consensus_case(rng):
+    # grid points give duplicates and distances of exactly delta; view ids
+    # repeat across clouds; clouds may be empty and may all share one view
+    n_clouds = int(rng.integers(0, 9))
+    view_pool = [ViewId(-1, -1), V0, V1, V2][: int(rng.choice([1, 2, 3, 4, 4]))]
+    on_grid = rng.random() < 0.5
+    clouds = []
+    for _ in range(n_clouds):
+        m = int(rng.integers(0, 15))
+        if on_grid:
+            pts = rng.integers(0, 4, size=(m, 3)) * 0.25
+        else:
+            pts = rng.uniform(0.0, 0.6, size=(m, 3))
+        view = view_pool[int(rng.integers(len(view_pool)))]
+        clouds.append(_cloud(pts, view, object_id=int(rng.integers(3))))
+    delta = float(rng.choice([0.25, 0.5])) if on_grid else float(rng.uniform(0.05, 0.4))
+    n_agree = int(rng.integers(1, max(2, len(view_pool))))
+    return clouds, ConsensusParams(delta=delta, n_agree=n_agree)
+
+
+def test_consensus_matches_brute_force_oracle():
+    rng = np.random.default_rng(2024)
+    kept_any = 0
+    for _ in range(200):
+        clouds, params = _consensus_case(rng)
+        merged, keep = _consensus_reference(clouds, params)
+        kept = filter_by_consensus(clouds, params)
+        np.testing.assert_array_equal(kept.xyz, merged.xyz[keep])
+        np.testing.assert_array_equal(kept.object_ids, merged.object_ids[keep])
+        assert kept.view_ids == tuple(v for v, k in zip(merged.view_ids, keep) if k)
+        kept_any += bool(keep.any())
+    assert 20 <= kept_any <= 180  # the cases keep some points and drop others
 
 
 def test_remove_knn_outliers():
@@ -197,12 +252,44 @@ def _shared_border_case():
     return pts, 0.27, 4, [0, 0, 0, 0, 0, 1, 1, 1, 1]
 
 
-@pytest.mark.parametrize("case", [_dense_blob_case, _shared_border_case])
+def _grid_ties_case():
+    # a 0.25 grid with eps one cell: axis neighbours sit at exactly eps and
+    # many points coincide; about 20 clusters with border and noise points
+    rng = np.random.default_rng(7)
+    return rng.integers(0, 10, size=(400, 3)) * 0.25, 0.25, 4, None
+
+
+def _min_pts_one_case():
+    # every point is core, so clusters are the eps-graph's components
+    rng = np.random.default_rng(13)
+    return rng.uniform(-1.0, 1.0, size=(200, 3)), 0.2, 1, None
+
+
+def _empty_case():
+    return np.zeros((0, 3)), 0.25, 5, []
+
+
+def _single_point_case():
+    return np.array([[0.5, -0.5, 2.0]]), 0.25, 1, [0]
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        _dense_blob_case,
+        _shared_border_case,
+        _grid_ties_case,
+        _min_pts_one_case,
+        _empty_case,
+        _single_point_case,
+    ],
+)
 def test_dbscan_matches_dense_reference(case):
     pts, eps, min_pts, expected = case()
     labels = dbscan(pts, eps, min_pts)
     np.testing.assert_array_equal(labels, _dbscan_reference(pts, eps, min_pts))
-    assert (labels == 0).sum() >= min_pts  # the case is not all noise
+    if len(pts):
+        assert (labels == 0).sum() >= min_pts  # the case is not all noise
     if expected is not None:
         assert list(labels) == expected
 
