@@ -462,6 +462,28 @@ _SCALE_RE = re.compile(r"1 px = ([0-9.eE+-]+) m")
 _MARKER_RE = re.compile(r"Camera marker at pixel \((-?[0-9.]+), (-?[0-9.]+)\)")
 _LEGEND_RE = re.compile(r"^- ([a-z]+): (.+) \(instance (\d+)\)$", re.M)
 
+_PALETTE_SLOT = {name: i for i, (name, _) in enumerate(PALETTE)}
+# Palette colours packed as r << 16 | g << 8 | b, sorted for lookup, then a
+# sentinel above every 24-bit colour so a lookup never runs off the end.
+_PACKED = np.array([r << 16 | g << 8 | b for _, (r, g, b) in PALETTE], dtype=np.int32)
+_PACKED_ORDER = np.argsort(_PACKED)
+_PACKED_SORTED = np.append(_PACKED[_PACKED_ORDER], np.int32(1 << 24))
+
+
+def _palette_footprints(img: np.ndarray):
+    """Pixel count and x, y coordinate sums of every palette colour in an image.
+
+    One pass: each pixel's packed colour is looked up in the palette table and
+    binned by its palette index; other colours are ignored.
+    """
+    packed = img[..., 0].astype(np.int32) << 16 | img[..., 1].astype(np.int32) << 8 | img[..., 2]
+    pos = np.searchsorted(_PACKED_SORTED, packed)
+    ys, xs = np.nonzero(_PACKED_SORTED[pos] == packed)
+    slot = _PACKED_ORDER[pos[ys, xs]]
+    n = len(PALETTE)
+    count = np.bincount(slot, minlength=n)
+    return count, np.bincount(slot, xs, n), np.bincount(slot, ys, n)
+
 
 def _positions_from_topdown(
     text: str, images: list[np.ndarray]
@@ -472,6 +494,8 @@ def _positions_from_topdown(
     the scale line, and the camera-marker pixel convert to meters in the
     origin camera's ground frame (x right, image-up forward).  When several
     legend entries share a label the largest visible footprint stands for it.
+    Coordinate sums are integers, exact in float64, so each centroid is the
+    mean of its pixels' coordinates to the last bit.
     """
     scale = _SCALE_RE.search(text)
     marker = _MARKER_RE.search(text)
@@ -481,22 +505,18 @@ def _positions_from_topdown(
         return None
     s = float(scale.group(1))
     mx, my = float(marker.group(1)), float(marker.group(2))
-    img = images[-1].astype(np.int16)
-    palette = dict(PALETTE)
+    count, x_sum, y_sum = _palette_footprints(images[-1])
     best: dict[str, tuple[int, tuple[float, float]]] = {}
     for color_name, label, _ in entries:
-        rgb = palette.get(color_name)
-        if rgb is None:
+        slot = _PALETTE_SLOT.get(color_name)
+        if slot is None or count[slot] == 0:
             continue
-        match = np.all(img == np.array(rgb, dtype=np.int16), axis=2)
-        ys, xs = np.nonzero(match)
-        if len(xs) == 0:
-            continue
-        u = (float(xs.mean()) - mx) * s
-        w = (my - float(ys.mean())) * s
+        n = int(count[slot])
+        u = (float(x_sum[slot] / n) - mx) * s
+        w = (my - float(y_sum[slot] / n)) * s
         cur = best.get(label)
-        if cur is None or len(xs) > cur[0]:
-            best[label] = (len(xs), (u, w))
+        if cur is None or n > cur[0]:
+            best[label] = (n, (u, w))
     found = {k: v for k, (_, v) in best.items()}
     return found if found else None
 
@@ -521,14 +541,22 @@ ENV_MODEL = "SANDBOX3D_MODEL"
 _TRANSIENT_TRANSPORT_ERRORS = (TimeoutError, ConnectionResetError, http.client.IncompleteRead)
 
 
+def _retry_after_s(err: urllib.error.HTTPError) -> int | None:
+    """Retry-After as delay-seconds; None when absent or not a plain integer
+    (an HTTP-date, a fraction, garbage)."""
+    value = ((err.headers or {}).get("Retry-After") or "").strip()
+    return int(value) if value.isascii() and value.isdigit() else None
+
+
 class HttpChatVlm:
     """OpenAI-compatible chat-completions client over urllib.
 
     Text parts become `text` content items; images are inlined as base64
     PNG data URLs. 429 and 5xx responses, timeouts, connection resets and
     truncated bodies are retried with exponential backoff (max 3 retries);
-    other errors, including auth failures and redirects, are terminal. A
-    semaphore caps concurrent in-flight requests.
+    a 429 whose Retry-After is a whole number of seconds waits at least that
+    long, at most timeout_s. Other errors, including auth failures and
+    redirects, are terminal. A semaphore caps concurrent in-flight requests.
     """
 
     def __init__(
@@ -581,17 +609,22 @@ class HttpChatVlm:
                 if err.code != 429 and err.code < 500:
                     raise ProviderError(f"HTTP {err.code}", status=err.code) from err
                 failure, status, cause = f"HTTP {err.code}", err.code, err
+                retry_after = _retry_after_s(err) if err.code == 429 else None
             except urllib.error.URLError as err:
                 raise ProviderError(f"request failed: {err.reason}") from err
             except _TRANSIENT_TRANSPORT_ERRORS as err:
                 failure, status, cause = f"{type(err).__name__}: {err}", None, err
+                retry_after = None
             else:
                 return self._extract_text(raw)
             if attempt == self.max_retries:
                 raise ProviderError(
                     f"{failure} after {attempt + 1} attempts", status=status
                 ) from cause
-            self._sleep(self.backoff_s * (2**attempt))
+            delay = self.backoff_s * (2**attempt)
+            if retry_after is not None:  # the server's wait, capped at the timeout
+                delay = max(delay, min(retry_after, self.timeout_s))
+            self._sleep(delay)
         raise AssertionError("retry loop always returns or raises")  # pragma: no cover
 
     @staticmethod

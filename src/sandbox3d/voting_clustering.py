@@ -20,6 +20,7 @@ reach it.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -75,14 +76,12 @@ def filter_by_consensus(
     merged = merge_clouds(clouds)
     if len(merged) == 0:
         return merged
-    uniq = list(dict.fromkeys(merged.view_ids))  # stable order
-    pos = {v: i for i, v in enumerate(uniq)}
-    view_index = np.array([pos[v] for v in merged.view_ids])
+    view_index = _view_index(merged.view_ids)
 
     # One k=1 query per view, asked by every point of the other views: the
     # point's distance to that view's nearest point decides its vote.
     votes = np.zeros(len(merged), dtype=np.int64)
-    for i in range(len(uniq)):
+    for i in range(int(view_index.max()) + 1):
         own = view_index == i
         other = ~own
         dist, _ = cKDTree(merged.xyz[own]).query(merged.xyz[other], k=1)
@@ -91,8 +90,28 @@ def filter_by_consensus(
     return ProxyCloud(
         merged.xyz[keep],
         merged.object_ids[keep],
-        tuple(v for v, k in zip(merged.view_ids, keep) if k),
+        _kept_views(merged.view_ids, keep),
     )
+
+
+def _kept_views(view_ids: tuple, keep: np.ndarray) -> tuple:
+    return tuple(map(view_ids.__getitem__, np.flatnonzero(keep).tolist()))
+
+
+def _view_index(view_ids: tuple) -> np.ndarray:
+    """Index of each point's view among the distinct views, in first-seen order.
+
+    Points of one view come in runs of the same ViewId object, so the views
+    are looked up once per run, not once per point.
+    """
+    n = len(view_ids)
+    starts = np.flatnonzero(
+        np.fromiter(map(operator.is_not, view_ids[1:], view_ids[:-1]), dtype=bool, count=n - 1)
+    ) + 1
+    starts = np.concatenate([[0], starts])
+    pos: dict = {}
+    run_index = [pos.setdefault(view_ids[s], len(pos)) for s in starts.tolist()]
+    return np.repeat(run_index, np.diff(starts, append=n))
 
 
 def remove_knn_outliers(cloud: ProxyCloud, k: int = 8, std_ratio: float = 2.0) -> ProxyCloud:
@@ -108,7 +127,7 @@ def remove_knn_outliers(cloud: ProxyCloud, k: int = 8, std_ratio: float = 2.0) -
     return ProxyCloud(
         cloud.xyz[keep],
         cloud.object_ids[keep],
-        tuple(v for v, kf in zip(cloud.view_ids, keep) if kf),
+        _kept_views(cloud.view_ids, keep),
     )
 
 

@@ -22,7 +22,8 @@ from sandbox3d.providers import (
 
 
 class _StubHandler(BaseHTTPRequestHandler):
-    """Replays a scripted list of (status, body) responses and records requests.
+    """Replays a scripted list of (status, body[, headers]) responses and
+    records requests.
 
     Two pseudo statuses cut a 200 response off after half its body: "stall"
     then waits (until `release` is set), "reset" aborts the connection.
@@ -45,7 +46,7 @@ class _StubHandler(BaseHTTPRequestHandler):
                     "body": json.loads(body.decode("utf-8")),
                 }
             )
-            status, payload = (
+            status, payload, *extra = (
                 _StubHandler.script.pop(0) if _StubHandler.script else (500, b"{}")
             )
         if status == 302:
@@ -71,6 +72,8 @@ class _StubHandler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(payload)))
+        for name, value in (extra[0] if extra else {}).items():
+            self.send_header(name, value)
         self.end_headers()
         self.wfile.write(payload)
 
@@ -143,6 +146,34 @@ def test_429_retries_then_succeeds(stub_server):
     assert len(_StubHandler.requests) == 3
     # exponential backoff: base, then doubled
     assert sleeps == [0.01, 0.02]
+
+
+@pytest.mark.parametrize(
+    "retry_after, slept",
+    [
+        ("7", 7),  # longer than the backoff: the server's wait
+        ("0", 0.01),  # shorter: the backoff
+        ("soon", 0.01),  # malformed: the backoff
+        ("Wed, 21 Oct 2015 07:28:00 GMT", 0.01),  # an HTTP-date: the backoff
+        ("-3", 0.01),
+        ("1.5", 0.01),
+        ("99999999999999999999", 30.0),  # capped at timeout_s
+    ],
+)
+def test_429_honours_integer_retry_after(stub_server, retry_after, slept):
+    _StubHandler.script = [(429, b"{}", {"Retry-After": retry_after}), (200, _ok_body("ok"))]
+    sleeps = []
+    client = _client(stub_server, timeout_s=30.0, backoff_s=0.01, sleep=sleeps.append)
+    assert client.complete([ChatTurn("user", (TextPart("hi"),))]) == "ok"
+    assert sleeps == [slept]
+
+
+def test_retry_after_is_ignored_on_5xx(stub_server):
+    _StubHandler.script = [(503, b"{}", {"Retry-After": "7"}), (200, _ok_body("ok"))]
+    sleeps = []
+    client = _client(stub_server, backoff_s=0.01, sleep=sleeps.append)
+    assert client.complete([ChatTurn("user", (TextPart("hi"),))]) == "ok"
+    assert sleeps == [0.01]
 
 
 def test_retry_budget_exhausted(stub_server):

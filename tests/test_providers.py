@@ -33,6 +33,7 @@ from sandbox3d.providers import (
     parse_object_hints,
 )
 from sandbox3d.proxy_elevation import ObjectHint
+from sandbox3d.sandbox_render import PALETTE
 from sandbox3d.scene_model import InstanceMask, ViewId
 from sandbox3d.synthetic_world import (
     depth_from_stack,
@@ -410,3 +411,71 @@ def test_geometry_mock_reads_topdown_render():
     reply = vlm.complete([ChatTurn("user", (TextPart(text), ImagePart(view.image)))])
     assert "top-down map" in reply
     assert "<answer> A </answer>" in reply
+
+
+def _reference_positions_from_topdown(text, images):
+    """Per-colour full-image compare: the decode the one-pass lookup replaced."""
+    scale = providers._SCALE_RE.search(text)
+    marker = providers._MARKER_RE.search(text)
+    entries = list(dict.fromkeys(providers._LEGEND_RE.findall(text)))
+    if scale is None or marker is None or not entries or not images:
+        return None
+    s = float(scale.group(1))
+    mx, my = float(marker.group(1)), float(marker.group(2))
+    img = images[-1].astype(np.int16)
+    palette = dict(PALETTE)
+    best = {}
+    for color_name, label, _ in entries:
+        rgb = palette.get(color_name)
+        if rgb is None:
+            continue
+        ys, xs = np.nonzero(np.all(img == np.array(rgb, dtype=np.int16), axis=2))
+        if len(xs) == 0:
+            continue
+        u = (float(xs.mean()) - mx) * s
+        w = (my - float(ys.mean())) * s
+        cur = best.get(label)
+        if cur is None or len(xs) > cur[0]:
+            best[label] = (len(xs), (u, w))
+    found = {k: v for k, (_, v) in best.items()}
+    return found if found else None
+
+
+def test_topdown_decode_matches_per_colour_reference():
+    from sandbox3d.sandbox_render import RenderStyle, legend_lines, render_boxes, topdown_camera
+    from sandbox3d.scene_model import CameraPose, OrientedBox3, SandboxScene, rotation_about_axis
+    from sandbox3d.synthetic_world import default_intrinsics
+
+    rng = np.random.default_rng(31)
+    for case in range(40):
+        k = int(rng.integers(1, 7))
+        ids = rng.choice(26, size=k, replace=False).tolist()  # ids >= 12 reuse colours
+        boxes = tuple(
+            OrientedBox3(
+                np.array([rng.uniform(-3, 3), -0.3, rng.uniform(1, 7)]),
+                rotation_about_axis((0.0, 1.0, 0.0), float(rng.uniform(0, 90))),
+                rng.uniform(0.05, 0.6, size=3),
+                f"obj{int(rng.integers(0, 4))}",  # repeated labels
+                iid,
+            )
+            for iid in ids
+        )
+        up = np.array([0.0, -1.0, 0.0])
+        scene = SandboxScene(boxes, CameraPose.identity(), default_intrinsics(), up_axis=up)
+        w, h, line_width = (int(v) for v in rng.integers([64, 64, 1], [300, 300, 4]))
+        style = RenderStyle(width=w, height=h, line_width=line_width, draw_axes=bool(case % 2))
+        view = render_boxes(scene, topdown_camera(scene), style)
+        lines = legend_lines(view)
+        # a colour drawn nowhere, a name outside the palette, a repeated entry
+        lines += ["- maroon: ghost (instance 99)", "- pink: stray (instance 98)", lines[0]]
+        text = "Legend:\n" + "\n".join(lines) + "\nQuestion: q"
+        img = view.image.copy()
+        img[: 4, : 4] = (1, 2, 3)  # a colour outside the palette
+        got = providers._positions_from_topdown(text, [img])
+        assert got == _reference_positions_from_topdown(text, [img])
+        assert got is not None
+
+    blank = np.full((32, 32, 3), 255, dtype=np.uint8)
+    text = "- red: a (instance 0)\nScale: 1 px = 0.010000 m.\nCamera marker at pixel (16.0, 30.0); it looks"
+    assert providers._positions_from_topdown(text, [blank]) is None
+    assert _reference_positions_from_topdown(text, [blank]) is None
