@@ -53,10 +53,11 @@ from .scene_model import (
 from .trajectory_control import TrajectorySpec
 from .synthetic_world import (
     WorldSpec,
-    depth_from_stack,
-    image_from_stack,
+    color_table,
+    image_from_stack,  # noqa: F401  perfbench's tracer patches this module's binding
     instance_depths,
     mask_from_stack,  # noqa: F401  perfbench's tracer patches this module's binding
+    nearest_from_stack,
 )
 
 # Marker phrases the prompt templates must contain; mock VLMs key on them to
@@ -161,20 +162,22 @@ class _RigView:
 
     image: np.ndarray  # (h, w, 3) uint8, read-only
     depth: DepthGrid
-    nearest: np.ndarray  # (h, w) int8: cuboid index, k for ground, -1 for sky
+    nearest: np.ndarray  # (h, w) signed int: cuboid index, k for ground, -1 for sky
 
 
 class SyntheticRig:
     """Shared per-world cache of analytic views, keyed by pose.
 
-    Rendering a view costs one ray-slab pass per cuboid. The (k+1, h, w)
-    hit-depth stack is reduced at once to the image, the depth and a
-    nearest-instance raster; every consumer of the same pose (frames, hint
-    lookups, every instance mask) reads those.
+    Rendering a view costs one windowed ray-slab pass per cuboid. The
+    (k+1, h, w) hit-depth stack is reduced once to the depth and a
+    nearest-instance raster, and the image is gathered from the world's
+    color table; every consumer of the same pose (frames, hint lookups,
+    every instance mask) reads those.
     """
 
     def __init__(self, world: WorldSpec):
         self.world = world
+        self._colors = color_table(world)
         self._views: dict[bytes, _RigView] = {}
         self._lock = threading.Lock()
 
@@ -188,13 +191,11 @@ class SyntheticRig:
             hit = self._views.get(key)
         if hit is not None:
             return hit
-        stack = self.stack(pose)
-        image = image_from_stack(self.world, stack)
-        nearest = np.argmin(stack, axis=0).astype(np.int8)  # at most 8 cuboids + ground
-        nearest[~np.isfinite(stack.min(axis=0))] = -1
+        depth, nearest = nearest_from_stack(self.stack(pose))
+        image = self._colors.take(nearest, axis=0)
         image.flags.writeable = False
         nearest.flags.writeable = False
-        view = _RigView(image, depth_from_stack(stack), nearest)
+        view = _RigView(image, DepthGrid(depth), nearest)
         with self._lock:
             return self._views.setdefault(key, view)
 

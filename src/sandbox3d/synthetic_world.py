@@ -2,12 +2,25 @@
 
 The world frame has its ground plane at up-coordinate 0 with up = (0, -1, 0)
 (the y axis points down, matching the camera convention), and every cuboid
-rests on the ground. Depth is rendered by intersecting each pixel ray with
-every cuboid (slab method in the box frame) plus the ground plane; using the
+rests on the ground. Depth is rendered by intersecting pixel rays with each
+cuboid (slab method in the box frame) and with the ground plane; using the
 unnormalized camera-frame direction ((x-cx)/fx, (y-cy)/fy, 1) makes the ray
 parameter equal the camera-frame Z, so the nearest hit parameter IS the depth.
-Background pixels are non-finite. Instance masks mark pixels whose nearest
-hit is that instance, so masks are pairwise disjoint by construction.
+
+A cuboid's slab test runs only inside its window. When all eight corners
+lie in front of the camera (z > 1e-6), the cuboid projects inside the
+bounding rectangle of its projected corners, and the window is that
+rectangle padded by one pixel, [floor(min) - 1, ceil(max) + 1], clipped to
+the raster; a cuboid whose window is empty is skipped. When any corner is
+at or behind the camera the window is the whole raster. Pixels outside the
+window keep +inf, which is what the test would give there.
+
+Background pixels are non-finite. `nearest_from_stack` picks, per pixel, the
+layer with the nearest hit: layers in index order, a later one winning only
+when strictly nearer, so ties go to the lowest index (cuboids in world order,
+then the ground), and -1 where no layer is finite. Depth, image and instance
+masks all read that one `nearest`, so masks are pairwise disjoint by
+construction.
 """
 
 from __future__ import annotations
@@ -33,9 +46,7 @@ from .scene_model import (
     CameraIntrinsics,
     CameraPose,
     DepthGrid,
-    InstanceMask,
     OrientedBox3,
-    ViewFrame,
     box_corners,
     project,
     rotation_about_axis,
@@ -209,6 +220,10 @@ def generate_world(seed: int, k: int, bounds: WorldBounds | None = None) -> Worl
 
 # ── Analytic rendering ─────────────────────────────────────────────────────
 
+# `scene_model.box_corners` signs. Windows build corners from them directly:
+# an OrientedBox3 per cuboid per render costs ten times as much.
+_CORNER_SIGNS = np.array([[1.0 if (i >> a) & 1 else -1.0 for a in range(3)] for i in range(8)])
+
 
 @lru_cache(maxsize=8)
 def _pixel_dirs(fx: float, fy: float, cx: float, cy: float, w: int, h: int) -> np.ndarray:
@@ -218,14 +233,38 @@ def _pixel_dirs(fx: float, fy: float, cx: float, cy: float, w: int, h: int) -> n
     dirs[:, :, 0] = xs[None, :]
     dirs[:, :, 1] = ys[:, None]
     dirs[:, :, 2] = 1.0
+    dirs.flags.writeable = False  # shared by every render at this resolution
     return dirs
+
+
+def _cuboid_window(
+    cub: CuboidSpec, axes: np.ndarray, pose: CameraPose, intr: CameraIntrinsics
+) -> tuple[slice, slice] | None:
+    """Rows and columns whose rays can hit the cuboid (see the module docstring).
+
+    None when the padded rectangle misses the raster.
+    """
+    h, w = intr.height, intr.width
+    corners = np.array(cub.center) + (_CORNER_SIGNS * (np.array(cub.size) / 2.0)) @ axes.T
+    cam = pose.inverse_transform(corners)
+    z = cam[:, 2]
+    if not np.all(z > 1e-6):
+        return slice(0, h), slice(0, w)
+    u = intr.fx * cam[:, 0] / z + intr.cx
+    v = intr.fy * cam[:, 1] / z + intr.cy
+    x0, x1 = max(math.floor(u.min()) - 1, 0), min(math.ceil(u.max()) + 2, w)
+    y0, y1 = max(math.floor(v.min()) - 1, 0), min(math.ceil(v.max()) + 2, h)
+    if x0 >= x1 or y0 >= y1:
+        return None
+    return slice(y0, y1), slice(x0, x1)
 
 
 def instance_depths(world: WorldSpec, pose: CameraPose, intr: CameraIntrinsics) -> np.ndarray:
     """Per-instance hit depth stack, shape (k+1, h, w); the ground is last.
 
     Entries are camera-frame Z of the nearest intersection with that instance
-    alone, +inf where the ray misses it.
+    alone, +inf where the ray misses it. Each cuboid's slab test runs only
+    inside its window (`_cuboid_window`); every pixel outside it stays +inf.
     """
     dirs_cam = _pixel_dirs(intr.fx, intr.fy, intr.cx, intr.cy, intr.width, intr.height)
     d_world = dirs_cam @ pose.rotation.T  # (h, w, 3)
@@ -235,11 +274,14 @@ def instance_depths(world: WorldSpec, pose: CameraPose, intr: CameraIntrinsics) 
 
     for idx, cub in enumerate(world.cuboids):
         axes = cub.axes()
+        window = _cuboid_window(cub, axes, pose, intr)
+        if window is None:
+            continue
         half = np.array(cub.size) / 2.0
         oo = axes.T @ (origin - np.array(cub.center))  # ray origin, box frame
-        dd = d_world @ axes  # ray directions, box frame
-        tmin = np.full((h, w), -np.inf)
-        tmax = np.full((h, w), np.inf)
+        dd = d_world[window] @ axes  # ray directions, box frame
+        tmin = np.full(dd.shape[:2], -np.inf)
+        tmax = np.full(dd.shape[:2], np.inf)
         for a in range(3):
             da = dd[:, :, a]
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -254,66 +296,55 @@ def instance_depths(world: WorldSpec, pose: CameraPose, intr: CameraIntrinsics) 
             tmin = np.maximum(tmin, lo)
             tmax = np.minimum(tmax, hi)
         hit = (tmin <= tmax) & (tmin > 0)
-        out[idx] = np.where(hit, tmin, np.inf)
+        out[idx][window] = np.where(hit, tmin, np.inf)
 
     # Ground plane y = 0; the camera is above it (negative y), so rays with
-    # positive world dy descend onto it.
+    # positive world dy descend onto it. Written in place: full-raster
+    # temporaries cost more than the division.
     dy = d_world[:, :, 1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        tg = -origin[1] / dy
-    out[-1] = np.where((dy > 0) & (tg > 0), tg, np.inf)
+    ground = out[-1]
+    np.divide(-origin[1], dy, out=ground, where=dy > 0)
+    ground[ground <= 0] = np.inf
     return out
 
 
+def nearest_from_stack(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest depth and the layer that holds it, in one pass over the stack.
+
+    Layers are visited in index order and a later layer takes a pixel only
+    when strictly nearer, so ties go to the lowest index. `nearest` is -1
+    where no layer is finite (the sky); its dtype is the smallest signed
+    integer that holds the layer count.
+    """
+    depth = stack[0].copy()
+    nearest = np.zeros(depth.shape, dtype=np.min_scalar_type(-len(stack)))
+    closer = np.empty(depth.shape, dtype=bool)
+    for i in range(1, len(stack)):
+        np.less(stack[i], depth, out=closer)
+        np.copyto(depth, stack[i], where=closer)
+        np.copyto(nearest, i, where=closer)
+    nearest[~np.isfinite(depth)] = -1
+    return depth, nearest
+
+
+def color_table(world: WorldSpec) -> np.ndarray:
+    """(k+2, 3) uint8 flat colours indexed by `nearest`: cuboids, ground, sky at -1."""
+    cuboids = [PALETTE[c.instance_id % len(PALETTE)][1] for c in world.cuboids]
+    return np.array([*cuboids, GROUND_COLOR, SKY_COLOR], dtype=np.uint8)
+
+
 def depth_from_stack(stack: np.ndarray) -> DepthGrid:
-    return DepthGrid(stack.min(axis=0))
+    return DepthGrid(nearest_from_stack(stack)[0])
 
 
 def mask_from_stack(stack: np.ndarray, index: int) -> np.ndarray:
     """Boolean raster of pixels whose nearest hit is cuboid `index`."""
-    return (np.argmin(stack, axis=0) == index) & np.isfinite(stack.min(axis=0))
+    return nearest_from_stack(stack)[1] == index
 
 
 def image_from_stack(world: WorldSpec, stack: np.ndarray) -> np.ndarray:
     """Flat-shaded RGB: per-instance palette colors, grey ground, pale sky."""
-    nearest = np.argmin(stack, axis=0)
-    finite = np.isfinite(stack.min(axis=0))
-    h, w = stack.shape[1:]
-    img = np.empty((h, w, 3), dtype=np.uint8)
-    img[:] = SKY_COLOR
-    img[finite & (nearest == len(world.cuboids))] = GROUND_COLOR
-    for idx, cub in enumerate(world.cuboids):
-        img[finite & (nearest == idx)] = PALETTE[cub.instance_id % len(PALETTE)][1]
-    return img
-
-
-def render_depth(world: WorldSpec, pose: CameraPose, intr: CameraIntrinsics) -> DepthGrid:
-    """Nearest-hit depth against all cuboids and the ground; misses are inf."""
-    return depth_from_stack(instance_depths(world, pose, intr))
-
-
-def render_instance_mask(
-    world: WorldSpec, pose: CameraPose, intr: CameraIntrinsics, instance_id: int
-) -> InstanceMask:
-    """Pixels whose nearest hit is the given cuboid."""
-    ids = [c.instance_id for c in world.cuboids]
-    if instance_id not in ids:
-        raise ValueError(f"unknown instance id {instance_id}")
-    idx = ids.index(instance_id)
-    stack = instance_depths(world, pose, intr)
-    return InstanceMask(mask_from_stack(stack, idx), instance_id, world.cuboids[idx].label)
-
-
-def render_image(world: WorldSpec, pose: CameraPose, intr: CameraIntrinsics) -> np.ndarray:
-    return image_from_stack(world, instance_depths(world, pose, intr))
-
-
-def synthesize_frame(world: WorldSpec, pose: CameraPose, view_id) -> ViewFrame:
-    intr = world.input_intrinsics
-    stack = instance_depths(world, pose, intr)
-    return ViewFrame(
-        image_from_stack(world, stack), depth_from_stack(stack), intr, pose, view_id
-    )
+    return color_table(world).take(nearest_from_stack(stack)[1], axis=0)
 
 
 # ── Relational ground truth ────────────────────────────────────────────────

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -56,6 +57,13 @@ def _write_ini(tmp_path, text):
 def test_config_empty_ini_gives_defaults(tmp_path):
     cfg = config_from_ini(_write_ini(tmp_path, ""))
     assert cfg == PipelineConfig()
+
+
+def test_readme_config_block_shows_the_defaults(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    text = "\n".join(line.split(";", 1)[0].rstrip() for line in block.splitlines())
+    assert config_from_ini(_write_ini(tmp_path, text)) == PipelineConfig()
 
 
 def test_config_all_sections_parsed(tmp_path):
