@@ -137,7 +137,10 @@ def load_bundle(path) -> SceneBundle:
         image_path = root / _require(spec, "image", ctx)
         if not image_path.is_file():
             raise BundleFormatError(f"{ctx}.image: file not found: {image_path.name}")
-        image = read_image(image_path)
+        try:
+            image = read_image(image_path)
+        except ValueError as err:
+            raise BundleFormatError(f"{ctx}.image: {image_path.name}: {err}") from err
         if image.ndim != 3:
             raise BundleFormatError(f"{ctx}.image: expected an RGB raster")
         if image.shape[:2] != (intrinsics.height, intrinsics.width):
@@ -174,7 +177,10 @@ def load_bundle(path) -> SceneBundle:
         mask_path = root / _require(spec, "path", ctx)
         if not mask_path.is_file():
             raise BundleFormatError(f"{ctx}.path: file not found: {mask_path.name}")
-        raster = read_image(mask_path)
+        try:
+            raster = read_image(mask_path)
+        except ValueError as err:
+            raise BundleFormatError(f"{ctx}.path: {mask_path.name}: {err}") from err
         if raster.ndim == 3:
             raster = raster[:, :, 0]
         view = by_id[view_id]

@@ -44,12 +44,9 @@ def png_bytes(image: np.ndarray) -> bytes:
         raise ValueError("image must be (h, w) or (h, w, 3)")
     h, w = img.shape[:2]
     ihdr = struct.pack(">IIBBBBB", w, h, 8, color_type, 0, 0, 0)
-    raw = bytearray()
-    flat = img.reshape(h, w * channels)
-    for row in range(h):
-        raw.append(0)  # filter type 0 on every scanline
-        raw += flat[row].tobytes()
-    idat = zlib.compress(bytes(raw), 6)
+    # filter type 0 on every scanline: a zero byte before each row
+    raw = np.pad(img.reshape(h, w * channels), ((0, 0), (1, 0)))
+    idat = zlib.compress(raw.tobytes(), 6)
     return _PNG_SIG + _chunk(b"IHDR", ihdr) + _chunk(b"IDAT", idat) + _chunk(b"IEND", b"")
 
 
@@ -67,15 +64,18 @@ def _paeth(a: int, b: int, c: int) -> int:
 
 def _unfilter(data: bytes, w: int, h: int, channels: int) -> np.ndarray:
     stride = w * channels
+    if len(data) < h * (1 + stride):
+        raise ValueError(
+            f"PNG data truncated: {len(data)} bytes for {h} rows of {1 + stride}"
+        )
+    rows = np.frombuffer(data, dtype=np.uint8, count=h * (1 + stride)).reshape(h, 1 + stride)
+    if not rows[:, 0].any():  # filter type 0 throughout, as png_bytes writes
+        return rows[:, 1:].reshape(h, w, channels).copy()
     out = np.zeros((h, stride), dtype=np.uint8)
-    pos = 0
     prev = np.zeros(stride, dtype=np.int32)
     for row in range(h):
-        ftype = data[pos]
-        line = np.frombuffer(data, dtype=np.uint8, count=stride, offset=pos + 1).astype(
-            np.int32
-        )
-        pos += 1 + stride
+        ftype = int(rows[row, 0])
+        line = rows[row, 1:].astype(np.int32)
         if ftype == 0:
             recon = line
         elif ftype == 2:  # Up
@@ -103,7 +103,10 @@ def _unfilter(data: bytes, w: int, h: int, channels: int) -> np.ndarray:
 
 
 def read_png(path) -> np.ndarray:
-    """Decode a non-interlaced 8-bit grey or RGB PNG into a uint8 array."""
+    """Decode a non-interlaced 8-bit grey or RGB PNG into a uint8 array.
+
+    Raises ValueError for any other file, including a truncated or corrupt one.
+    """
     blob = Path(path).read_bytes()
     if blob[:8] != _PNG_SIG:
         raise ValueError("not a PNG file")
@@ -111,25 +114,28 @@ def read_png(path) -> np.ndarray:
     width = height = None
     color_type = None
     idat = bytearray()
-    while pos < len(blob):
-        (length,) = struct.unpack(">I", blob[pos : pos + 4])
-        kind = blob[pos + 4 : pos + 8]
-        data = blob[pos + 8 : pos + 8 + length]
-        pos += 12 + length
-        if kind == b"IHDR":
-            width, height, depth, color_type, _, _, interlace = struct.unpack(
-                ">IIBBBBB", data
-            )
-            if depth != 8 or interlace != 0 or color_type not in (0, 2):
-                raise ValueError("only 8-bit non-interlaced grey/RGB PNGs are supported")
-        elif kind == b"IDAT":
-            idat += data
-        elif kind == b"IEND":
-            break
+    try:
+        while pos < len(blob):
+            (length,) = struct.unpack(">I", blob[pos : pos + 4])
+            kind = blob[pos + 4 : pos + 8]
+            data = blob[pos + 8 : pos + 8 + length]
+            pos += 12 + length
+            if kind == b"IHDR":
+                width, height, depth, color_type, _, _, interlace = struct.unpack(
+                    ">IIBBBBB", data
+                )
+                if depth != 8 or interlace != 0 or color_type not in (0, 2):
+                    raise ValueError("only 8-bit non-interlaced grey/RGB PNGs are supported")
+            elif kind == b"IDAT":
+                idat += data
+            elif kind == b"IEND":
+                break
+        raw = zlib.decompress(bytes(idat))
+    except (struct.error, zlib.error) as err:  # a short chunk or a cut stream
+        raise ValueError(f"corrupt PNG: {err}") from err
     if width is None:
         raise ValueError("PNG missing IHDR")
     channels = 1 if color_type == 0 else 3
-    raw = zlib.decompress(bytes(idat))
     img = _unfilter(raw, width, height, channels)
     return img[:, :, 0] if channels == 1 else img
 

@@ -11,6 +11,13 @@ Determinism rules for fps_sample are part of the contract:
   greedy step    the set pixel with the largest min-distance to the selected
                  set, ties again by smallest row-major index
 Distances are compared as exact squared integers, so ties are well defined.
+
+The greedy steps run on the crop raster, the mask's bounding box: one
+distance per crop pixel, with off-mask pixels held at -1 so that they never
+win, and a flat argmax, whose first-on-ties rule is the row-major tie rule.
+Each step costs three array calls over the crop whatever the mask's shape.
+Distances are int32 while h^2 + w^2 of the h x w crop fits in int32 (every
+squared distance in the crop is below it), and int64 beyond.
 """
 
 from __future__ import annotations
@@ -99,7 +106,8 @@ def fps_sample(mask: InstanceMask, n: int) -> np.ndarray:
     # distances do not change under the shift, so the crop's coordinates
     # rank and break ties exactly as the mask's would.
     y0, y1, x0, x1 = box
-    ys, xs = np.nonzero(mask.bits[y0:y1, x0:x1])
+    crop = mask.bits[y0:y1, x0:x1]
+    ys, xs = np.nonzero(crop)
     xs = xs.astype(np.int64, copy=False)
     ys = ys.astype(np.int64, copy=False)
     k = len(xs)
@@ -120,20 +128,30 @@ def fps_sample(mask: InstanceMask, n: int) -> np.ndarray:
     e = k * (u * u + v * v) - 2 * (rx * u + ry * v)
     j = int(np.argmin(e))  # argmin takes the first, i.e. smallest index
 
-    chosen = np.empty(n, dtype=np.intp)
-    min_d2 = np.full(k, np.iinfo(np.int64).max, dtype=np.int64)
-    d2 = np.empty(k, dtype=np.int64)
-    dy = np.empty(k, dtype=np.int64)
-    for i in range(n):
-        chosen[i] = j
-        np.subtract(xs, xs[j], out=d2)
-        np.multiply(d2, d2, out=d2)
-        np.subtract(ys, ys[j], out=dy)
-        np.multiply(dy, dy, out=dy)
-        np.add(d2, dy, out=d2)
-        np.minimum(min_d2, d2, out=min_d2)
-        j = int(min_d2.argmax())  # argmax also takes the first on ties
-    return np.stack([xs[chosen] + x0, ys[chosen] + y0], axis=1)
+    # Greedy steps on the crop raster (see the module docstring). A step's
+    # squared distances are two slices of one table, sq[i] = (i - s)^2.
+    h, w = crop.shape
+    dtype = _crop_dtype(h, w)
+    dist = np.where(crop, dtype(np.iinfo(dtype).max), dtype(-1))
+    buf = np.empty_like(dist)
+    s = max(h, w)
+    sq = np.arange(-s, s, dtype=dtype) ** 2
+    sy, sx = int(ys[j]), int(xs[j])
+    chosen = [sy * w + sx]
+    for _ in range(n - 1):
+        np.add(sq[s - sy : s - sy + h, None], sq[s - sx : s - sx + w], out=buf)
+        np.minimum(dist, buf, out=dist)
+        f = int(dist.argmax())
+        sy, sx = divmod(f, w)
+        chosen.append(f)
+    rows, cols = np.divmod(np.array(chosen, dtype=np.int64), w)
+    return np.stack([cols + x0, rows + y0], axis=1)
+
+
+def _crop_dtype(h: int, w: int) -> type:
+    """Distance dtype for an h x w crop: int32 while h^2 + w^2, which bounds
+    every squared distance in the crop, fits; int64 beyond."""
+    return np.int32 if h * h + w * w <= np.iinfo(np.int32).max else np.int64
 
 
 def lift_proxies(

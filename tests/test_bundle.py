@@ -167,3 +167,29 @@ def test_bundle_no_input_view(tmp_path):
     bundle = load_bundle(root)
     with pytest.raises(BundleFormatError, match="input view"):
         bundle.input_view()
+
+
+def _truncate(path):
+    # drops IEND and the tail of IDAT, so the zlib stream is cut short
+    path.write_bytes(path.read_bytes()[:-20])
+
+
+def _not_png(path):
+    path.write_bytes(b"these bytes are not an image")
+
+
+@pytest.mark.parametrize("damage", [_truncate, _not_png], ids=["truncated", "not_png"])
+@pytest.mark.parametrize(
+    "name, field",
+    [("input.png", r"views\[0\]\.image"), ("mask_input_obj0.png", r"masks\[0\]\.path")],
+    ids=["image", "mask"],
+)
+def test_bundle_undecodable_raster_is_named(tmp_path, damage, name, field):
+    root = tmp_path / "b"
+    bits = np.zeros((24, 32), dtype=bool)
+    bits[3:9, 4:12] = True
+    masks = {(ViewId(-1, -1), 0): InstanceMask(bits, 0, "box")}
+    write_bundle(root, [_frame(ViewId(-1, -1), 0)], masks, scene_id="s")
+    damage(root / name)
+    with pytest.raises(BundleFormatError, match=rf"{field}: {name}"):
+        load_bundle(root)

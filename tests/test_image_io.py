@@ -108,6 +108,63 @@ def test_png_decode_filter_types(tmp_path):
         np.testing.assert_array_equal(read_png(path), base, err_msg=f"filter {ft}")
 
 
+def test_png_decode_mixed_filter_rows(tmp_path):
+    # filter 0 rows around filter 2 rows: the decoder leaves its all-zero
+    # filter path and reconstructs every row, unfiltered ones included
+    rng = np.random.default_rng(5)
+    img = rng.integers(0, 256, size=(6, 5, 3), dtype=np.uint8)
+    flat = img.reshape(6, 15).astype(int)
+    rows = []
+    for y, ftype in enumerate([0, 2, 2, 0, 0, 2]):
+        above = flat[y - 1] if y else np.zeros(15, dtype=int)
+        payload = flat[y] if ftype == 0 else (flat[y] - above) % 256
+        rows.append((ftype, bytes(int(v) for v in payload)))
+    path = tmp_path / "mixed.png"
+    path.write_bytes(_png_blob(5, 6, 2, rows))
+    np.testing.assert_array_equal(read_png(path), img)
+
+
+def test_png_decode_rejects_truncated_stream(tmp_path):
+    # a complete zlib stream one byte short of its last scanline, with
+    # every filter byte 0 and with a filter 2 row
+    path = tmp_path / "short.png"
+    for ftype in (0, 2):
+        rows = [(0, b"\x01\x02\x03"), (ftype, b"\x04\x05\x06"), (0, b"\x07\x08")]
+        path.write_bytes(_png_blob(3, 3, 0, rows))
+        with pytest.raises(ValueError, match="truncated"):
+            read_png(path)
+    # a zlib stream cut short is reported as a ValueError as well
+    path.write_bytes(png_bytes(np.arange(300, dtype=np.uint8).reshape(10, 30))[:-20])
+    with pytest.raises(ValueError):
+        read_png(path)
+
+
+def test_png_bytes_match_per_row_reference():
+    # the scanline layout, a filter byte 0 before each row, built row by row
+    def reference(img):
+        h, w = img.shape[:2]
+        channels, color_type = (1, 0) if img.ndim == 2 else (3, 2)
+        raw = bytearray()
+        for row in img.reshape(h, w * channels):
+            raw.append(0)
+            raw += row.tobytes()
+        ihdr = struct.pack(">IIBBBBB", w, h, 8, color_type, 0, 0, 0)
+        return (
+            b"\x89PNG\r\n\x1a\n"
+            + _chunk(b"IHDR", ihdr)
+            + _chunk(b"IDAT", zlib.compress(bytes(raw), 6))
+            + _chunk(b"IEND", b"")
+        )
+
+    rng = np.random.default_rng(3)
+    for h, w in [(1, 1), (1, 7), (5, 1), (9, 13), (32, 33), (64, 64)]:
+        for shape in [(h, w), (h, w, 3)]:
+            img = rng.integers(0, 256, size=shape, dtype=np.uint8)
+            assert png_bytes(img) == reference(img), shape
+            # a strided view encodes as its contiguous copy
+            assert png_bytes(np.flip(img, axis=1)) == reference(np.flip(img, axis=1).copy())
+
+
 def test_png_decode_multiple_idat(tmp_path):
     img = np.full((2, 2), 7, dtype=np.uint8)
     raw = b"\x00\x07\x07" + b"\x00\x07\x07"

@@ -8,6 +8,8 @@ from sandbox3d.proxy_elevation import (
     ElevationParams,
     ObjectHint,
     elevate_object,
+    _crop_dtype,
+    _bbox,
     erode_mask,
     fps_sample,
     lift_proxies,
@@ -60,6 +62,74 @@ def _fps_reference(bits, n):
         chosen.append(j)
         min_d2 = [min(m, d2(p, pts[j])) for m, p in zip(min_d2, pts)]
     return [pts[i] for i in chosen]
+
+
+def _ref_fps_sample(bits, n):
+    """The greedy rule over k-length int64 arrays of the set pixels' mask
+    coordinates: one distance update and argmax per selected pixel."""
+    ys, xs = np.nonzero(bits)
+    xs = xs.astype(np.int64)
+    ys = ys.astype(np.int64)
+    k = len(xs)
+    if k <= n:
+        return np.stack([xs, ys], axis=1)
+    qx, rx = divmod(int(xs.sum()), k)
+    qy, ry = divmod(int(ys.sum()), k)
+    u = xs - qx
+    v = ys - qy
+    j = int(np.argmin(k * (u * u + v * v) - 2 * (rx * u + ry * v)))
+    chosen = np.empty(n, dtype=np.intp)
+    min_d2 = np.full(k, np.iinfo(np.int64).max, dtype=np.int64)
+    d2 = np.empty(k, dtype=np.int64)
+    dy = np.empty(k, dtype=np.int64)
+    for i in range(n):
+        chosen[i] = j
+        np.subtract(xs, xs[j], out=d2)
+        np.multiply(d2, d2, out=d2)
+        np.subtract(ys, ys[j], out=dy)
+        np.multiply(dy, dy, out=dy)
+        np.add(d2, dy, out=d2)
+        np.minimum(min_d2, d2, out=min_d2)
+        j = int(min_d2.argmax())
+    return np.stack([xs[chosen], ys[chosen]], axis=1)
+
+
+def _polygon(h, w, rng):
+    """A filled star-shaped polygon of 3-12 vertices by even-odd ray casting
+    from pixel centres; vertices may fall outside the frame."""
+    m = int(rng.integers(3, 13))
+    angles = np.sort(rng.uniform(0, 2 * np.pi, m))
+    radii = rng.uniform(0.1, 0.7, m) * max(h, w)
+    cx, cy = rng.uniform(0, w), rng.uniform(0, h)
+    vx, vy = cx + radii * np.cos(angles), cy + radii * np.sin(angles)
+    py, px = np.mgrid[0:h, 0:w] + 0.5
+    inside = np.zeros((h, w), dtype=bool)
+    for i in range(m):
+        ax, ay, bx, by = vx[i - 1], vy[i - 1], vx[i], vy[i]
+        crosses = (ay > py) != (by > py)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x_at = ax + (py - ay) * (bx - ax) / (by - ay)
+        inside ^= crosses & (px < x_at)
+    return inside
+
+
+def _ring(h, w, rng):
+    """An annulus around an integer centre: every distance repeats under the
+    ring's symmetries, so most greedy steps break a tie."""
+    cy, cx = int(rng.integers(0, h)), int(rng.integers(0, w))
+    r_out = int(rng.integers(2, max(h, w)))
+    r_in = int(rng.integers(0, r_out))
+    yy, xx = np.mgrid[0:h, 0:w]
+    d2 = (yy - cy) ** 2 + (xx - cx) ** 2
+    return (d2 >= r_in * r_in) & (d2 < r_out * r_out)
+
+
+def _touching_edges(h, w, rng):
+    """Sparse noise plus one set pixel on each border, so the crop is the frame."""
+    bits = rng.random((h, w)) < rng.uniform(0.01, 0.3)
+    bits[0, rng.integers(0, w)] = bits[-1, rng.integers(0, w)] = True
+    bits[rng.integers(0, h), 0] = bits[rng.integers(0, h), -1] = True
+    return bits
 
 
 def test_erode_square_shrinks_by_one_ring():
@@ -181,6 +251,30 @@ def test_fps_deterministic_and_subset():
         # no duplicates
         assert len({(int(x), int(y)) for x, y in a}) == 6
         np.testing.assert_array_equal(a, _fps_reference(bits, 6))
+
+
+def test_fps_matches_array_reference_bit_for_bit():
+    rng = np.random.default_rng(20261018)
+    masks = []
+    shapes = [(512, 512), (512, 317), (241, 512), (96, 131), (33, 20), (9, 7)]
+    for h, w in shapes * 2:
+        for make in (_polygon, _ring, _touching_edges):
+            bits = make(h, w, rng)
+            if bits.any():
+                masks.append(bits)
+    # one row past the int32 bound on h^2 + w^2 (1 + 46,341^2 > 2^31 - 1),
+    # and one where an int32 distance would wrap: 46,342^2 > 2^31 - 1
+    masks += [np.ones((1, 46_341), dtype=bool), np.ones((1, 46_343), dtype=bool)]
+    dtypes = set()
+    for bits in masks:
+        y0, y1, x0, x1 = _bbox(bits)
+        dtypes.add(_crop_dtype(y1 - y0, x1 - x0))
+        for n in (1, 2, 30, 64):
+            got = fps_sample(_mask(bits), n)
+            assert got.dtype == np.int64
+            expect = _ref_fps_sample(bits, n)
+            np.testing.assert_array_equal(got, expect, err_msg=f"{bits.shape} n={n}")
+    assert dtypes == {np.int32, np.int64}
 
 
 def test_fps_rejects_empty_and_bad_n():
