@@ -13,6 +13,18 @@ marks the run failed.
 Artifacts for every stage are written beneath an output directory and are
 deterministic byte-for-byte given the same config, seed, and scripted model
 replies.
+
+Stages 6-7 (proxy elevation, consensus voting per label, box fitting) depend
+on the scene, the chosen motion and the object hints, never on the question.
+`run_eval` therefore builds them once per scene entry (synthetic world or
+bundle path) and (motion, tuple(hints)) key, in its `SceneCache`; the config
+is fixed per cache, so it is not part of the key. An entry holds only small
+frozen objects: the consensus-kept cloud per label (read-only arrays), the
+`SandboxScene` or the `EmptySandboxError` text, the lifted and kept counts,
+and the number of skipped (view, object) pairs. Hint and answer queries,
+artifact writes and stage-8 renders still run for every question. A bare
+`run_pipeline` call, with no memo in its `ProviderSet`, builds the sandbox on
+every call.
 """
 
 from __future__ import annotations
@@ -27,8 +39,10 @@ import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from importlib import resources
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -150,6 +164,11 @@ class PipelineConfig:
             raise ConfigError("m_candidates and t_steps must be positive")
         if self.pointcloud_stride < 1:
             raise ConfigError("pointcloud_stride must be positive")
+        if self.parallelism is not None and self.parallelism < 1:
+            raise ConfigError(
+                "parallelism must be at least 1 (omit it for one worker per CPU), "
+                f"got {self.parallelism}"
+            )
 
     @property
     def max_views(self) -> int:
@@ -349,9 +368,27 @@ def compose_prompt(
 # ── Providers bundle ───────────────────────────────────────────────────────
 
 
+@dataclass(frozen=True)
+class SceneSandbox:
+    """Stages 6-7 for one scene, motion and hint list; shared by questions."""
+
+    kept: tuple[ProxyCloud, ...]  # consensus survivors, one cloud per label, first-seen order
+    scene: SandboxScene | None
+    empty_error: str | None  # why fit_sandbox found no box, when it found none
+    counts: tuple[tuple[str, int, int], ...]  # (label, lifted, kept), sorted by label
+    skipped: int  # (view, object) pairs elevation could not lift
+
+
+# memo(key, build) returns build() the first time a key is seen, then that result.
+SandboxMemo = Callable[[tuple, Callable[[], SceneSandbox]], SceneSandbox]
+
+
 @dataclass
 class ProviderSet:
-    """Everything run_pipeline needs about one scene."""
+    """Everything run_pipeline needs about one scene.
+
+    `sandbox_memo`, when set, shares stages 6-7 between questions of the
+    scene, keyed by (motion, tuple(hints)); with None they run every call."""
 
     input_view: ViewFrame
     generator: object
@@ -359,6 +396,7 @@ class ProviderSet:
     segmenter: object
     vlm: ChatVLM
     up_axis: np.ndarray
+    sandbox_memo: SandboxMemo | None = None
 
 
 def _bounds_from_scene(scene: dict) -> WorldBounds:
@@ -379,6 +417,7 @@ class SceneCache:
         self._lock = threading.Lock()
         self._synthetic: dict[tuple, Future] = {}
         self._bundles: dict[str, Future] = {}
+        self._sandboxes: dict[tuple, Future] = {}
         self._http_vlm: HttpChatVlm | None = None
 
     def _load_once(self, table: dict, key, load):
@@ -399,17 +438,18 @@ class SceneCache:
                 raise
         return future.result()
 
-    def synthetic_provider(self, scene: dict) -> SyntheticSceneProvider:
-        bounds = _bounds_from_scene(scene)
-        key = (int(scene["seed"]), int(scene["objects"]), bounds)
+    def synthetic_provider(self, key: tuple) -> SyntheticSceneProvider:
+        """The world for a (seed, objects, bounds) key, generated once."""
         return self._load_once(
-            self._synthetic,
-            key,
-            lambda: SyntheticSceneProvider(generate_world(key[0], key[1], bounds)),
+            self._synthetic, key, lambda: SyntheticSceneProvider(generate_world(*key))
         )
 
     def bundle(self, path: str) -> SceneBundle:
         return self._load_once(self._bundles, path, lambda: load_bundle(path))
+
+    def sandbox(self, scene_key, key: tuple, build) -> SceneSandbox:
+        """Stages 6-7 of one scene entry, built once per (motion, hints) key."""
+        return self._load_once(self._sandboxes, (scene_key, key), build)
 
     def _shared_http_vlm(self) -> HttpChatVlm:
         with self._lock:
@@ -423,7 +463,8 @@ class SceneCache:
         scene = record.scene
         kind = scene.get("kind")
         if kind == "synthetic":
-            sp = self.synthetic_provider(scene)
+            key = (int(scene["seed"]), int(scene["objects"]), _bounds_from_scene(scene))
+            sp = self.synthetic_provider(key)
             return ProviderSet(
                 input_view=sp.input_view(),
                 generator=sp.generator,
@@ -431,9 +472,11 @@ class SceneCache:
                 segmenter=sp.segmenter,
                 vlm=self._vlm_for(record, index, sp),
                 up_axis=sp.world.up_axis,
+                sandbox_memo=partial(self.sandbox, key),
             )
         if kind == "bundle":
-            bundle = self.bundle(str(scene["path"]))
+            path = str(scene["path"])
+            bundle = self.bundle(path)
             return ProviderSet(
                 input_view=bundle.input_view(),
                 generator=BundleMultiViewGenerator(bundle.frames_by_view()),
@@ -441,6 +484,7 @@ class SceneCache:
                 segmenter=BundleSegmenter(bundle.masks),
                 vlm=self._vlm_for(record, index, None),
                 up_axis=bundle.up_axis,
+                sandbox_memo=partial(self.sandbox, path),
             )
         raise ConfigError(f"record {record.qid}: unknown scene kind {kind!r}")
 
@@ -542,6 +586,55 @@ def _dense_cloud(frames, stride: int) -> tuple[ProxyCloud, dict[int, str]]:
     return merge_clouds(clouds), labels
 
 
+def build_scene_sandbox(
+    config: PipelineConfig,
+    input_view: ViewFrame,
+    frames,
+    hints,
+    segmenter,
+    up_axis: np.ndarray,
+) -> SceneSandbox:
+    """Stages 6-7: proxy elevation over the input view plus every synthesized
+    view, consensus voting once per label, then clustering and box fitting.
+
+    Elevation failures for one (view, object) pair are counted, not raised;
+    an empty box scene is kept as the EmptySandboxError text.
+    """
+    clouds_by_label: dict[str, list[ProxyCloud]] = {}
+    skipped = 0
+    for view in [input_view, *frames]:
+        for hint in hints:
+            try:
+                cloud = elevate_object(view, hint, segmenter, config.elevation)
+            except (ObjectNotFoundError, EmptyMaskError, EmptyProxyError):
+                skipped += 1
+                continue
+            clouds_by_label.setdefault(hint.label, []).append(cloud)
+
+    # One consensus pass per label feeds box fitting, proxies.json and proxy_render.
+    kept = {
+        label: filter_by_consensus(clouds, config.consensus)
+        for label, clouds in clouds_by_label.items()
+    }
+    scene, empty_error = None, None
+    try:
+        scene = fit_sandbox(
+            kept,
+            config.cluster,
+            input_view.pose,
+            input_view.intrinsics,
+            up_axis,
+            outlier_filter=config.outlier_filter,
+        )
+    except EmptySandboxError as err:
+        empty_error = str(err)
+    counts = tuple(
+        (label, sum(len(c) for c in clouds_by_label[label]), len(cloud))
+        for label, cloud in sorted(kept.items())
+    )
+    return SceneSandbox(tuple(kept.values()), scene, empty_error, counts, skipped)
+
+
 def run_pipeline(
     config: PipelineConfig,
     providers: ProviderSet,
@@ -627,7 +720,7 @@ def run_pipeline(
 
     hints: list[ObjectHint] = []
     scene = None
-    filtered_by_label: dict[str, ProxyCloud] = {}
+    sandbox = None
 
     needs_hints = mode in ("full", "text_coords", "proxy_render")
     if needs_hints:
@@ -669,44 +762,23 @@ def run_pipeline(
             needs_hints = False
 
     if needs_hints:
-        # (6) proxy elevation over the input view plus every synthesized view
-        clouds_by_label: dict[str, list[ProxyCloud]] = {}
-        skipped = 0
-        for view in [input_view, *frames]:
-            for hint in hints:
-                try:
-                    cloud = elevate_object(view, hint, providers.segmenter, config.elevation)
-                except (ObjectNotFoundError, EmptyMaskError, EmptyProxyError):
-                    skipped += 1
-                    continue
-                clouds_by_label.setdefault(hint.label, []).append(cloud)
-        if skipped:
-            notes.append(f"elevation skipped {skipped} (view, object) pairs")
-
-        # (7) consensus voting once per category; its result feeds the box
-        # stage (clustering, box fitting), proxies.json and proxy_render
-        filtered_by_label = {
-            label: filter_by_consensus(clouds, config.consensus)
-            for label, clouds in clouds_by_label.items()
-        }
-        try:
-            scene = fit_sandbox(
-                filtered_by_label,
-                config.cluster,
-                input_view.pose,
-                input_view.intrinsics,
-                providers.up_axis,
-                outlier_filter=config.outlier_filter,
-            )
-        except EmptySandboxError as err:
-            if mode in ("full", "text_coords"):
-                degradations.append(f"empty sandbox: {err}")
-                mode = "mv_only"
-        counts = {
-            label: {"lifted": sum(len(c) for c in clouds_by_label[label]), "kept": len(kept)}
-            for label, kept in sorted(filtered_by_label.items())
-        }
-        art.json("proxies.json", counts)
+        # (6)-(7) proxy elevation, consensus voting, box fitting
+        build = partial(
+            build_scene_sandbox,
+            config, input_view, frames, hints, providers.segmenter, providers.up_axis,
+        )
+        memo = providers.sandbox_memo
+        sandbox = build() if memo is None else memo((motion, tuple(hints)), build)
+        if sandbox.skipped:
+            notes.append(f"elevation skipped {sandbox.skipped} (view, object) pairs")
+        scene = sandbox.scene
+        if sandbox.empty_error is not None and mode in ("full", "text_coords"):
+            degradations.append(f"empty sandbox: {sandbox.empty_error}")
+            mode = "mv_only"
+        art.json(
+            "proxies.json",
+            {label: {"lifted": lifted, "kept": kept} for label, lifted, kept in sandbox.counts},
+        )
         if scene is not None and art.enabled:
             art.text("sandbox.json", serialize_text_coords(scene))
 
@@ -726,7 +798,7 @@ def run_pipeline(
     elif mode == "text_coords" and scene is not None:
         coords_text = serialize_text_coords(scene)
     elif mode == "proxy_render":
-        merged = merge_clouds(filtered_by_label.values())
+        merged = merge_clouds(sandbox.kept)
         if len(merged) == 0:
             degradations.append("no proxy points survived consensus voting")
             mode = "mv_only"
@@ -886,7 +958,10 @@ def _safe(name: str) -> str:
 
 
 def run_eval(config: PipelineConfig, benchmark_path, out_dir=None) -> RunReport:
-    """Score every benchmark record; single-record failures never abort."""
+    """Score every benchmark record; single-record failures never abort.
+
+    Each scene's sandbox (stages 6-7) is built once per (motion, hints) and
+    shared by the questions that ask for it; see the module docstring."""
     try:
         records = read_benchmark(benchmark_path)
     except (OSError, ValueError, json.JSONDecodeError) as err:
@@ -900,9 +975,18 @@ def run_eval(config: PipelineConfig, benchmark_path, out_dir=None) -> RunReport:
     ):
         raise ConfigError("geometry_mock requires synthetic scenes")
 
-    cache = SceneCache(config)
     out_root = Path(out_dir) if out_dir is not None else None
-    rows: list[RecordResult | None] = [None] * len(records)
+    if out_root is not None and config.eval_artifacts:
+        owners: dict[str, str] = {}
+        for record in records:
+            name = _safe(record.qid)
+            if name in owners:
+                raise ConfigError(
+                    f"benchmark: record ids {owners[name]!r} and {record.qid!r} "
+                    f"share the artifact directory records/{name}"
+                )
+            owners[name] = record.qid
+    cache = SceneCache(config)
 
     def work(index: int, record: QARecord) -> RecordResult:
         start = time.perf_counter()
@@ -938,23 +1022,27 @@ def run_eval(config: PipelineConfig, benchmark_path, out_dir=None) -> RunReport:
         )
 
     max_workers = config.parallelism or os.cpu_count() or 1
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        futures = {pool.submit(work, i, rec): i for i, rec in enumerate(records)}
-        for future, i in futures.items():
-            rows[i] = future.result()
+    if max_workers == 1:
+        # On the calling thread: a one-thread pool starts a fresh thread per
+        # call, and glibc may give it a new malloc arena whose freed memory
+        # stays resident (a sporadic +40 MB peak RSS over repeated evals).
+        rows = [work(i, rec) for i, rec in enumerate(records)]
+    else:
+        with ThreadPoolExecutor(max_workers=max_workers) as pool:
+            futures = [pool.submit(work, i, rec) for i, rec in enumerate(records)]
+            rows = [future.result() for future in futures]
 
-    done = [r for r in rows if r is not None]
-    accuracy = sum(r.correct for r in done) / len(done)
+    accuracy = sum(r.correct for r in rows) / len(rows)
     by_category = {}
     for cat in CATEGORIES:
-        cat_rows = [r for r in done if r.category == cat]
+        cat_rows = [r for r in rows if r.category == cat]
         if cat_rows:
             by_category[cat] = sum(r.correct for r in cat_rows) / len(cat_rows)
     report = RunReport(
-        rows=tuple(done),
+        rows=tuple(rows),
         accuracy=accuracy,
         by_category=by_category,
-        failed=tuple(r.qid for r in done if r.error is not None),
+        failed=tuple(r.qid for r in rows if r.error is not None),
     )
     if out_root is not None:
         _write_report(report, config, out_root)

@@ -469,21 +469,29 @@ _PALETTE_SLOT = {name: i for i, (name, _) in enumerate(PALETTE)}
 _PACKED = np.array([r << 16 | g << 8 | b for _, (r, g, b) in PALETTE], dtype=np.int32)
 _PACKED_ORDER = np.argsort(_PACKED)
 _PACKED_SORTED = np.append(_PACKED[_PACKED_ORDER], np.int32(1 << 24))
+# True at every palette red value: a pixel whose red is not one of them
+# cannot be a palette colour, so the exact lookup skips it.
+_PALETTE_RED = np.zeros(256, dtype=bool)
+_PALETTE_RED[[r for _, (r, _, _) in PALETTE]] = True
 
 
 def _palette_footprints(img: np.ndarray):
     """Pixel count and x, y coordinate sums of every palette colour in an image.
 
-    One pass: each pixel's packed colour is looked up in the palette table and
-    binned by its palette index; other colours are ignored.
+    A table of palette red values drops most pixels (background, grid, other
+    colours) in one lookup; each survivor's packed colour is then looked up
+    in the palette table and binned by its palette index; other colours are
+    ignored.
     """
-    packed = img[..., 0].astype(np.int32) << 16 | img[..., 1].astype(np.int32) << 8 | img[..., 2]
+    ys, xs = np.nonzero(_PALETTE_RED[img[..., 0]])
+    rgb = img[ys, xs].astype(np.int32)
+    packed = rgb[:, 0] << 16 | rgb[:, 1] << 8 | rgb[:, 2]
     pos = np.searchsorted(_PACKED_SORTED, packed)
-    ys, xs = np.nonzero(_PACKED_SORTED[pos] == packed)
-    slot = _PACKED_ORDER[pos[ys, xs]]
+    hit = _PACKED_SORTED[pos] == packed
+    slot = _PACKED_ORDER[pos[hit]]
     n = len(PALETTE)
     count = np.bincount(slot, minlength=n)
-    return count, np.bincount(slot, xs, n), np.bincount(slot, ys, n)
+    return count, np.bincount(slot, xs[hit], n), np.bincount(slot, ys[hit], n)
 
 
 def _positions_from_topdown(

@@ -235,3 +235,16 @@ def test_cli_requires_subcommand():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("value", ["-1", "0"])
+def test_eval_rejects_non_positive_parallelism(tmp_path, capsys, value):
+    bundle = _synth(tmp_path, questions=1)
+    ini = tmp_path / "eval.ini"
+    ini.write_text(f"[pipeline]\nparallelism = {value}\n", encoding="utf-8")
+    argv = ["eval", "--benchmark", str(bundle / "questions.jsonl"), "--vlm", "random_mock",
+            "--config", str(ini)]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "config error:" in err and "parallelism must be at least 1" in err and value in err

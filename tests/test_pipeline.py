@@ -1,13 +1,17 @@
 from __future__ import annotations
 
+import dataclasses
 import json
+import sys
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sandbox3d import pipeline
+from sandbox3d.bundle import write_bundle
 from sandbox3d.errors import BundleFormatError, ConfigError
 from sandbox3d.pipeline import (
     MODES,
@@ -24,6 +28,7 @@ from sandbox3d.pipeline import (
 )
 from sandbox3d.providers import (
     BundleMultiViewGenerator,
+    GeometryMockVlm,
     ImagePart,
     ScriptedVlm,
     SyntheticSceneProvider,
@@ -33,10 +38,17 @@ from sandbox3d.qa import QARecord, write_benchmark
 from sandbox3d.scene_model import (
     CameraIntrinsics,
     CameraPose,
+    InstanceMask,
     OrientedBox3,
     SandboxScene,
 )
-from sandbox3d.synthetic_world import BENCHMARK_BOUNDS, build_benchmark, generate_world
+from sandbox3d.synthetic_world import (
+    BENCHMARK_BOUNDS,
+    build_benchmark,
+    generate_questions,
+    generate_world,
+)
+from sandbox3d.trajectory_control import AbstractMotion, instantiate_trajectories
 from sandbox3d.voting_clustering import ClusterParams
 
 _UP = np.array([0.0, -1.0, 0.0])
@@ -704,3 +716,214 @@ def test_scene_cache_loads_a_raced_bundle_once(monkeypatch):
     with pytest.raises(BundleFormatError):
         cache.bundle("broken")
     assert loads == ["scene", "broken", "broken"]
+
+
+# ── Scene sandbox memo ─────────────────────────────────────────────────────
+
+
+def _count_calls(monkeypatch, name):
+    """Wrap pipeline.<name> so each call is recorded; returns the record."""
+    calls = []
+    original = getattr(pipeline, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, name, counted)
+    return calls
+
+
+def _tree(root: Path) -> dict[str, bytes]:
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def _eval_matches_standalone(tmp_path, cfg, records):
+    """run_eval's per-record artifacts equal a memo-less run_pipeline's, byte
+    for byte; returns the eval report."""
+    cfg = dataclasses.replace(cfg, eval_artifacts=True)
+    path = _bench_path(tmp_path, records)
+    report = run_eval(cfg, path, out_dir=tmp_path / "eval")
+    assert report.failed == ()
+    cache = SceneCache(cfg)
+    for index, record in enumerate(records):
+        providers = dataclasses.replace(cache.providers_for(record, index), sandbox_memo=None)
+        alone = tmp_path / "alone" / record.qid
+        run_pipeline(
+            cfg, providers, record.question, record.choices, qid=record.qid, out_dir=alone
+        )
+        shared = _tree(tmp_path / "eval" / "records" / record.qid)
+        assert "result.json" in shared
+        assert shared == _tree(alone), record.qid
+    return report
+
+
+def _one_scene(n=5):
+    records = build_benchmark(n, questions_per_world=5)
+    assert len({json.dumps(r.scene, sort_keys=True) for r in records}) == 1
+    return records
+
+
+@pytest.mark.parametrize("parallelism", [1, 2])
+def test_run_eval_builds_each_scene_sandbox_once(monkeypatch, tmp_path, parallelism):
+    elevations = _count_calls(monkeypatch, "elevate_object")
+    fits = _count_calls(monkeypatch, "fit_sandbox")
+    cfg = PipelineConfig(
+        vlm="geometry_mock", cluster=ClusterParams(eps=0.25), parallelism=parallelism
+    )
+    one = _bench_path(tmp_path, _one_scene(1), "one.jsonl")
+    assert run_eval(cfg, one).failed == ()
+    per_build = len(elevations)
+    assert per_build > 0 and len(fits) == 1
+
+    elevations.clear()
+    fits.clear()
+    report = run_eval(cfg, _bench_path(tmp_path, _one_scene(5)))
+    assert report.n == 5 and report.failed == () and report.accuracy == 1.0
+    assert len(elevations) == per_build
+    assert len(fits) == 1
+
+
+@pytest.mark.parametrize("mode", ["full", "text_coords", "proxy_render"])
+def test_run_eval_artifacts_match_a_memo_less_run(tmp_path, mode):
+    cfg = PipelineConfig(mode=mode, vlm="geometry_mock", cluster=ClusterParams(eps=0.25))
+    report = _eval_matches_standalone(tmp_path, cfg, _one_scene())
+    assert all(r.mode_used == mode for r in report.rows)
+
+
+def test_run_eval_empty_sandbox_degrade_matches_a_memo_less_run(tmp_path):
+    cfg = PipelineConfig(
+        vlm="geometry_mock", cluster=ClusterParams(eps=0.25, min_cluster_size=10**6)
+    )
+    report = _eval_matches_standalone(tmp_path, cfg, _one_scene())
+    for row in report.rows:
+        assert row.mode_used == "mv_only"
+        assert any(d.startswith("empty sandbox") for d in row.degradations)
+
+
+def test_run_eval_bundle_missing_view_matches_a_memo_less_run(monkeypatch, tmp_path, sp):
+    # every forward view but those of trajectory 2, so one trajectory degrades
+    input_view = sp.input_view()
+    frames = [input_view]
+    for spec in instantiate_trajectories(AbstractMotion.FORWARD):
+        if spec.trajectory_index != 2:
+            frames.extend(sp.generator.generate(input_view, spec))
+    masks = {}
+    for frame in frames:
+        for index, cuboid in enumerate(sp.world.cuboids):
+            bits = sp.rig.mask_bits(frame.pose, index)
+            if bits.any():
+                masks[(frame.view_id, index)] = InstanceMask(bits, index, cuboid.label)
+    write_bundle(tmp_path / "scene", frames, masks)
+    records = [
+        dataclasses.replace(r, scene={"kind": "bundle", "path": str(tmp_path / "scene")})
+        for r in generate_questions(sp.world, 5, 3)
+    ]
+    # the geometry mock reads the world the bundle was rendered from
+    monkeypatch.setattr(
+        SceneCache,
+        "_vlm_for",
+        lambda self, record, index, _sp: GeometryMockVlm(sp.rig, record.payload or None),
+    )
+    fits = _count_calls(monkeypatch, "fit_sandbox")
+    cfg = PipelineConfig(vlm="random_mock", cluster=ClusterParams(eps=0.25))
+    report = _eval_matches_standalone(tmp_path, cfg, records)
+    assert len(fits) == 1 + len(records)  # one shared build, then one per standalone run
+    for row in report.rows:
+        assert row.mode_used == "full"
+        assert len(row.degradations) == 1 and "trajectory=2" in row.degradations[0]
+
+
+class _FewerHintsVlm(GeometryMockVlm):
+    """Geometry mock that names only the first `keep` objects as hints."""
+
+    def __init__(self, rig, payload, keep):
+        super().__init__(rig, payload)
+        self.keep = keep
+
+    def _hints_json(self):
+        return json.dumps(json.loads(super()._hints_json())[: self.keep])
+
+
+def test_run_eval_question_dependent_hints_get_their_own_sandbox(monkeypatch, tmp_path):
+    records = _one_scene()
+    real_vlm_for = SceneCache._vlm_for
+
+    def vlm_for(self, record, index, sp_):
+        mock = real_vlm_for(self, record, index, sp_)
+        return _FewerHintsVlm(mock.rig, mock.payload, keep=1 + index % 2)
+
+    monkeypatch.setattr(SceneCache, "_vlm_for", vlm_for)
+    fits = _count_calls(monkeypatch, "fit_sandbox")
+    cfg = PipelineConfig(vlm="geometry_mock", cluster=ClusterParams(eps=0.25), parallelism=2)
+    _eval_matches_standalone(tmp_path, cfg, records)
+    assert len(fits) == 2 + len(records)  # two hint lists shared, then the standalone runs
+    hints = [
+        json.loads((tmp_path / "eval" / "records" / r.qid / "hints.json").read_text())
+        for r in records[:2]
+    ]
+    assert [len(h) for h in hints] == [1, 2]
+
+
+def test_run_eval_evicts_a_failed_sandbox_build(monkeypatch, tmp_path):
+    real_fit = pipeline.fit_sandbox
+    fits = []
+
+    def flaky_fit(*args, **kwargs):
+        fits.append(1)
+        if len(fits) == 1:
+            raise RuntimeError("box fit crashed")
+        return real_fit(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "fit_sandbox", flaky_fit)
+    cfg = PipelineConfig(vlm="geometry_mock", cluster=ClusterParams(eps=0.25), parallelism=1)
+    report = run_eval(cfg, _bench_path(tmp_path, _one_scene()))
+    first, *rest = report.rows
+    assert first.error == "RuntimeError: box fit crashed" and not first.correct
+    assert report.failed == (first.qid,)
+    assert all(r.error is None and r.correct for r in rest)
+    assert len(fits) == 2  # the failure was not cached; the rebuild was
+
+
+def test_scene_cache_sandbox_memo_builds_each_key_once_under_contention():
+    cache = SceneCache(PipelineConfig())
+    builds = []
+    results = {}
+
+    def build(key):
+        builds.append(key)
+        time.sleep(0.01)  # hold the build open while the other threads arrive
+        return object()
+
+    def one(i):
+        key = ("forward", i % 3)
+        results[i] = (key, cache.sandbox("scene", key, lambda: build(key)))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=one, args=(i,)) for i in range(12)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(old)
+    assert len(results) == 12
+    assert sorted(builds) == [("forward", 0), ("forward", 1), ("forward", 2)]
+    by_key = {}
+    for key, sandbox in results.values():
+        assert by_key.setdefault(key, sandbox) is sandbox
+
+
+def test_run_eval_rejects_ids_sharing_an_artifact_directory(tmp_path):
+    base = build_benchmark(1)[0]
+    records = [dataclasses.replace(base, qid=qid) for qid in ("q/1", "q2", "q 1")]
+    path = _bench_path(tmp_path, records)
+    cfg = PipelineConfig(mode="mv_only", vlm="random_mock", eval_artifacts=True)
+    with pytest.raises(ConfigError, match=r"'q/1' and 'q 1' share the artifact directory"):
+        run_eval(cfg, path, out_dir=tmp_path / "out")
+    assert not (tmp_path / "out").exists()  # no record ran
+    # without per-record artifacts nothing collides
+    assert run_eval(dataclasses.replace(cfg, eval_artifacts=False), path).failed == ()

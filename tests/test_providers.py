@@ -479,3 +479,46 @@ def test_topdown_decode_matches_per_colour_reference():
     text = "- red: a (instance 0)\nScale: 1 px = 0.010000 m.\nCamera marker at pixel (16.0, 30.0); it looks"
     assert providers._positions_from_topdown(text, [blank]) is None
     assert _reference_positions_from_topdown(text, [blank]) is None
+
+
+def _ref_palette_footprints(img):
+    """Packed-colour lookup over every pixel: the decode the red-table
+    prefilter sped up."""
+    packed = img[..., 0].astype(np.int32) << 16 | img[..., 1].astype(np.int32) << 8 | img[..., 2]
+    pos = np.searchsorted(providers._PACKED_SORTED, packed)
+    ys, xs = np.nonzero(providers._PACKED_SORTED[pos] == packed)
+    slot = providers._PACKED_ORDER[pos[ys, xs]]
+    n = len(PALETTE)
+    count = np.bincount(slot, minlength=n)
+    return count, np.bincount(slot, xs, n), np.bincount(slot, ys, n)
+
+
+def test_palette_footprints_match_full_lookup_reference():
+    rgb = np.array([c for _, c in PALETTE], dtype=np.uint8)
+    rng = np.random.default_rng(47)
+    sizes = [(1, 1), (3, 7), (64, 64), (97, 131), (512, 512)]
+    for case in range(30):
+        h, w = sizes[case % len(sizes)]
+        img = np.full((h, w, 3), 255, dtype=np.uint8)
+        img[:: max(1, h // 8)] = 210  # grey grid rows and columns
+        img[:, :: max(1, w // 8)] = 210
+        img[rng.random((h, w)) < 0.02] = 0  # black: red 0 is a palette red (teal)
+        n_px = int(rng.integers(0, min(h * w, 3000) + 1))
+        flat = rng.integers(0, h * w, size=n_px)
+        img.reshape(-1, 3)[flat] = rgb[rng.integers(0, len(PALETTE), size=n_px)]
+        # a palette red with another green or blue, and noise colours
+        near = rng.integers(0, h * w, size=n_px // 4 + 1)
+        img.reshape(-1, 3)[near, 0] = rgb[rng.integers(0, len(PALETTE), size=len(near)), 0]
+        img.reshape(-1, 3)[near, 1] ^= np.uint8(1)
+        noise = rng.integers(0, h * w, size=n_px // 4 + 1)
+        img.reshape(-1, 3)[noise] = rng.integers(0, 256, size=(len(noise), 3), dtype=np.uint8)
+        got = providers._palette_footprints(img)
+        want = _ref_palette_footprints(img)
+        for g, r in zip(got, want):
+            assert g.dtype == r.dtype
+            np.testing.assert_array_equal(g, r)
+    black = np.zeros((5, 5, 3), dtype=np.uint8)
+    black[2, 3] = (0, 128, 128)  # teal, whose red is 0
+    count, x_sum, y_sum = providers._palette_footprints(black)
+    teal = providers._PALETTE_SLOT["teal"]
+    assert count.sum() == count[teal] == 1 and (x_sum[teal], y_sum[teal]) == (3.0, 2.0)
