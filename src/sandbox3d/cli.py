@@ -26,6 +26,7 @@ from .errors import BundleFormatError, ConfigError, GenerationError, ProviderErr
 from .pipeline import (
     MODES,
     PipelineConfig,
+    PngMemo,
     ProviderSet,
     config_from_ini,
     run_eval,
@@ -65,9 +66,9 @@ def _load_config(path: str | None, mode: str | None, vlm: str | None) -> Pipelin
     return dataclasses.replace(config, **overrides) if overrides else config
 
 
-def _vlm_from_config(config: PipelineConfig):
+def _vlm_from_config(config: PipelineConfig, encode_png):
     if config.vlm == "http":
-        return HttpChatVlm(base_url=config.base_url, model=config.model)
+        return HttpChatVlm(base_url=config.base_url, model=config.model, encode_png=encode_png)
     if config.vlm == "random_mock":
         return RandomMockVlm(seed=config.seed)
     raise ConfigError(f"vlm provider {config.vlm!r} needs a synthetic scene or test harness")
@@ -88,13 +89,15 @@ def _read_question(path: str) -> tuple[str, list[str], str]:
 def _cmd_run(args) -> int:
     config = _load_config(args.config, args.mode, args.vlm)
     bundle = load_bundle(args.bundle)
+    png_memo = PngMemo()  # artifacts and requests share each image's encode
     providers = ProviderSet(
         input_view=bundle.input_view(),
         generator=BundleMultiViewGenerator(bundle.frames_by_view()),
         depth_estimator=StoredDepthEstimator(),
         segmenter=BundleSegmenter(bundle.masks),
-        vlm=_vlm_from_config(config),
+        vlm=_vlm_from_config(config, png_memo),
         up_axis=bundle.up_axis,
+        encode_png=png_memo,
     )
     question, choices, qid = _read_question(args.question)
     result = run_pipeline(

@@ -25,12 +25,20 @@ and the number of skipped (view, object) pairs. Hint and answer queries,
 artifact writes and stage-8 renders still run for every question. A bare
 `run_pipeline` call, with no memo in its `ProviderSet`, builds the sandbox on
 every call.
+
+PNG encoding is shared the same way: `run_eval` keeps one `PngMemo` per eval,
+and both the artifact writer and the HTTP client's image parts encode through
+it, so each distinct image is encoded once per eval however many records
+write or send it. `png_bytes` is a pure function of the pixels, so artifacts
+and request bodies are byte-identical to a memo-less run; with no
+`encode_png` in its `ProviderSet`, `run_pipeline` encodes on every write.
 """
 
 from __future__ import annotations
 
 import configparser
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -58,7 +66,11 @@ from .errors import (
     ObjectNotFoundError,
     ProviderError,
 )
-from .image_io import write_depth_raw, write_image
+from .image_io import (
+    png_bytes,
+    write_depth_raw,
+    write_image,  # noqa: F401  perfbench's tracer pins this module's binding
+)
 from .proxy_elevation import ElevationParams, ObjectHint, elevate_object
 from .providers import (
     BundleMultiViewGenerator,
@@ -383,12 +395,59 @@ class SceneSandbox:
 SandboxMemo = Callable[[tuple, Callable[[], SceneSandbox]], SceneSandbox]
 
 
+class _Once:
+    """Single flight per key: the first caller for a key loads it; later
+    callers wait for that result. A failed load is not cached and raises in
+    every waiter."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._table: dict = {}
+
+    def get(self, key, load):
+        with self._lock:
+            future = self._table.get(key)
+            owner = future is None
+            if owner:
+                future = self._table[key] = Future()
+        if owner:
+            try:
+                future.set_result(load())
+            except BaseException as err:
+                with self._lock:
+                    del self._table[key]
+                future.set_exception(err)
+                raise
+        return future.result()
+
+
+class PngMemo:
+    """`png_bytes` that encodes each distinct image once.
+
+    The key is the image's shape, dtype and the sha256 of its C-contiguous
+    pixels, and `png_bytes` is a pure function of those, so a hit returns the
+    bytes a fresh encode would. Concurrent callers for one image share a
+    single encode; a failed encode is not cached. Entries live as long as the
+    memo: each is the compressed form of pixels its callers already hold."""
+
+    def __init__(self):
+        self._encoded = _Once()
+
+    def __call__(self, image: np.ndarray) -> bytes:
+        img = np.ascontiguousarray(image)
+        key = (img.shape, img.dtype.str, hashlib.sha256(img).digest())
+        return self._encoded.get(key, lambda: png_bytes(img))
+
+
 @dataclass
 class ProviderSet:
     """Everything run_pipeline needs about one scene.
 
     `sandbox_memo`, when set, shares stages 6-7 between questions of the
-    scene, keyed by (motion, tuple(hints)); with None they run every call."""
+    scene, keyed by (motion, tuple(hints)); with None they run every call.
+    `encode_png`, when set, replaces `png_bytes` for image artifacts (a
+    `PngMemo` shares encodes between records); with None every write
+    encodes."""
 
     input_view: ViewFrame
     generator: object
@@ -397,6 +456,7 @@ class ProviderSet:
     vlm: ChatVLM
     up_axis: np.ndarray
     sandbox_memo: SandboxMemo | None = None
+    encode_png: Callable[[np.ndarray], bytes] | None = None
 
 
 def _bounds_from_scene(scene: dict) -> WorldBounds:
@@ -410,52 +470,38 @@ def _bounds_from_scene(scene: dict) -> WorldBounds:
 
 
 class SceneCache:
-    """Shared scene-side providers across eval records (worlds and bundles)."""
+    """Shared scene-side providers across eval records (worlds and bundles),
+    plus the eval's `PngMemo`."""
 
     def __init__(self, config: PipelineConfig):
         self.config = config
+        self.png_memo = PngMemo()
         self._lock = threading.Lock()
-        self._synthetic: dict[tuple, Future] = {}
-        self._bundles: dict[str, Future] = {}
-        self._sandboxes: dict[tuple, Future] = {}
+        self._synthetic = _Once()
+        self._bundles = _Once()
+        self._sandboxes = _Once()
         self._http_vlm: HttpChatVlm | None = None
-
-    def _load_once(self, table: dict, key, load):
-        """The first caller for a key loads it; later callers wait for that
-        result. A failed load is not cached and raises in every waiter."""
-        with self._lock:
-            future = table.get(key)
-            owner = future is None
-            if owner:
-                future = table[key] = Future()
-        if owner:
-            try:
-                future.set_result(load())
-            except BaseException as err:
-                with self._lock:
-                    del table[key]
-                future.set_exception(err)
-                raise
-        return future.result()
 
     def synthetic_provider(self, key: tuple) -> SyntheticSceneProvider:
         """The world for a (seed, objects, bounds) key, generated once."""
-        return self._load_once(
-            self._synthetic, key, lambda: SyntheticSceneProvider(generate_world(*key))
-        )
+        return self._synthetic.get(key, lambda: SyntheticSceneProvider(generate_world(*key)))
 
     def bundle(self, path: str) -> SceneBundle:
-        return self._load_once(self._bundles, path, lambda: load_bundle(path))
+        return self._bundles.get(path, lambda: load_bundle(path))
 
     def sandbox(self, scene_key, key: tuple, build) -> SceneSandbox:
         """Stages 6-7 of one scene entry, built once per (motion, hints) key."""
-        return self._load_once(self._sandboxes, (scene_key, key), build)
+        return self._sandboxes.get((scene_key, key), build)
 
     def _shared_http_vlm(self) -> HttpChatVlm:
+        # The client holds the memo itself, never this cache: a reference
+        # back would make a cycle that outlives run_eval until a gc pass.
         with self._lock:
             if self._http_vlm is None:
                 self._http_vlm = HttpChatVlm(
-                    base_url=self.config.base_url, model=self.config.model
+                    base_url=self.config.base_url,
+                    model=self.config.model,
+                    encode_png=self.png_memo,
                 )
             return self._http_vlm
 
@@ -473,6 +519,7 @@ class SceneCache:
                 vlm=self._vlm_for(record, index, sp),
                 up_axis=sp.world.up_axis,
                 sandbox_memo=partial(self.sandbox, key),
+                encode_png=self.png_memo,
             )
         if kind == "bundle":
             path = str(scene["path"])
@@ -485,6 +532,7 @@ class SceneCache:
                 vlm=self._vlm_for(record, index, None),
                 up_axis=bundle.up_axis,
                 sandbox_memo=partial(self.sandbox, path),
+                encode_png=self.png_memo,
             )
         raise ConfigError(f"record {record.qid}: unknown scene kind {kind!r}")
 
@@ -525,11 +573,13 @@ class PipelineResult:
 class _Artifacts:
     """Deterministic artifact writer; with no directory, every call no-ops.
 
-    Callers test `enabled` before building a payload that costs work."""
+    Callers test `enabled` before building a payload that costs work. Images
+    are encoded by `encode_png`, or by `png_bytes` when it is None."""
 
-    def __init__(self, out_dir):
+    def __init__(self, out_dir, encode_png):
         self.root = Path(out_dir) if out_dir is not None else None
         self.enabled = self.root is not None
+        self.encode_png = encode_png
         if self.enabled:
             self.root.mkdir(parents=True, exist_ok=True)
 
@@ -552,7 +602,7 @@ class _Artifacts:
             return
         path = self.root / name
         path.parent.mkdir(parents=True, exist_ok=True)
-        write_image(path, image)
+        path.write_bytes((self.encode_png or png_bytes)(image))
 
     def depth(self, name: str, values: np.ndarray) -> None:
         if self.root is None:
@@ -644,7 +694,7 @@ def run_pipeline(
     out_dir=None,
 ) -> PipelineResult:
     """Run the ten pipeline stages for one question against one scene."""
-    art = _Artifacts(out_dir)
+    art = _Artifacts(out_dir, providers.encode_png)
     if art.enabled:
         art.json("config.json", _config_dict(config))
     input_view = providers.input_view
@@ -961,7 +1011,8 @@ def run_eval(config: PipelineConfig, benchmark_path, out_dir=None) -> RunReport:
     """Score every benchmark record; single-record failures never abort.
 
     Each scene's sandbox (stages 6-7) is built once per (motion, hints) and
-    shared by the questions that ask for it; see the module docstring."""
+    shared by the questions that ask for it, and each distinct image is
+    encoded as PNG once per eval; see the module docstring."""
     try:
         records = read_benchmark(benchmark_path)
     except (OSError, ValueError, json.JSONDecodeError) as err:
@@ -980,6 +1031,11 @@ def run_eval(config: PipelineConfig, benchmark_path, out_dir=None) -> RunReport:
         owners: dict[str, str] = {}
         for record in records:
             name = _safe(record.qid)
+            if name in ("", ".", ".."):
+                raise ConfigError(
+                    f"benchmark: record id {record.qid!r} does not name a directory "
+                    "under records/"
+                )
             if name in owners:
                 raise ConfigError(
                     f"benchmark: record ids {owners[name]!r} and {record.qid!r} "

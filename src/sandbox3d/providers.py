@@ -566,6 +566,10 @@ class HttpChatVlm:
     a 429 whose Retry-After is a whole number of seconds waits at least that
     long, at most timeout_s. Other errors, including auth failures and
     redirects, are terminal. A semaphore caps concurrent in-flight requests.
+
+    `encode_png` turns an image part's pixels into the PNG bytes sent; None
+    means `png_bytes`. A `pipeline.PngMemo` shared with the artifact writer
+    returns the same bytes and encodes each distinct image once for both.
     """
 
     def __init__(
@@ -578,6 +582,7 @@ class HttpChatVlm:
         max_retries: int = 3,
         backoff_s: float = 0.5,
         sleep=time.sleep,
+        encode_png=None,
     ):
         self.base_url = (base_url or os.environ.get(ENV_BASE_URL, "")).rstrip("/")
         if not self.base_url:
@@ -590,6 +595,7 @@ class HttpChatVlm:
         self.max_retries = max_retries
         self.backoff_s = backoff_s
         self._sleep = sleep
+        self.encode_png = encode_png
         self._sem = threading.Semaphore(max_inflight)
         self._opener = urllib.request.build_opener(_NoRedirect)
 
@@ -597,7 +603,7 @@ class HttpChatVlm:
         body = json.dumps(
             {
                 "model": self.model,
-                "messages": [self._message(t) for t in turns],
+                "messages": [self._message(t, self.encode_png) for t in turns],
                 "temperature": params.temperature,
                 "max_tokens": params.max_tokens,
             }
@@ -637,13 +643,14 @@ class HttpChatVlm:
         raise AssertionError("retry loop always returns or raises")  # pragma: no cover
 
     @staticmethod
-    def _message(turn: ChatTurn) -> dict:
+    def _message(turn: ChatTurn, encode_png=None) -> dict:
+        encode = encode_png or png_bytes
         content = []
         for part in turn.parts:
             if isinstance(part, TextPart):
                 content.append({"type": "text", "text": part.text})
             else:
-                b64 = base64.b64encode(png_bytes(part.image)).decode("ascii")
+                b64 = base64.b64encode(encode(part.image)).decode("ascii")
                 content.append(
                     {"type": "image_url", "image_url": {"url": f"data:image/png;base64,{b64}"}}
                 )

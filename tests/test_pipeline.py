@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
 import sys
 import threading
 import time
@@ -926,4 +927,17 @@ def test_run_eval_rejects_ids_sharing_an_artifact_directory(tmp_path):
         run_eval(cfg, path, out_dir=tmp_path / "out")
     assert not (tmp_path / "out").exists()  # no record ran
     # without per-record artifacts nothing collides
+    assert run_eval(dataclasses.replace(cfg, eval_artifacts=False), path).failed == ()
+
+
+@pytest.mark.parametrize("qid", ["..", ".", ""])
+def test_run_eval_rejects_ids_that_name_no_directory_under_records(tmp_path, qid):
+    # `_safe` keeps dots, so ".." would write a record's artifacts into the
+    # eval root and "" straight into records/
+    base = build_benchmark(1)[0]
+    path = _bench_path(tmp_path, [dataclasses.replace(base, qid=qid)])
+    cfg = PipelineConfig(mode="mv_only", vlm="random_mock", eval_artifacts=True)
+    with pytest.raises(ConfigError, match=f"record id {re.escape(repr(qid))} does not name"):
+        run_eval(cfg, path, out_dir=tmp_path / "out")
+    assert not (tmp_path / "out").exists()  # no record ran
     assert run_eval(dataclasses.replace(cfg, eval_artifacts=False), path).failed == ()
