@@ -22,9 +22,18 @@ is fixed per cache, so it is not part of the key. An entry holds only small
 frozen objects: the consensus-kept cloud per label (read-only arrays), the
 `SandboxScene` or the `EmptySandboxError` text, the lifted and kept counts,
 and the number of skipped (view, object) pairs. Hint and answer queries,
-artifact writes and stage-8 renders still run for every question. A bare
-`run_pipeline` call, with no memo in its `ProviderSet`, builds the sandbox on
-every call.
+question-level artifact writes and stage-8 renders still run for every
+question. A bare `run_pipeline` call, with no memo in its `ProviderSet`,
+builds the sandbox on every call.
+
+Stages 1-3's artifacts (`trajectories.json` and the input plus synthesized
+views, `views/<tag>.{png,f32}`) depend only on the scene and the motion. A
+standalone run writes them into its own tree. With `eval_artifacts`,
+`run_eval` writes them once per (scene, motion) under
+`<out>/scenes/<n>/<motion>/`, where `<n>` numbers the distinct scene specs
+in order of first appearance, and each `records/<id>/` gets a `views.json`
+pointer, `{"dir": "../../scenes/<n>/<motion>"}`. A record whose direction
+query fails has no motion, so it gets no pointer.
 
 PNG encoding is shared the same way: `run_eval` keeps one `PngMemo` per eval,
 and both the artifact writer and the HTTP client's image parts encode through
@@ -115,6 +124,7 @@ from .trajectory_control import (
     DEFAULT_STEP_M,
     DEFAULT_SWEEP_DEG,
     DEFAULT_T,
+    AbstractMotion,
     instantiate_trajectories,
     parse_motion,
 )
@@ -394,6 +404,9 @@ class SceneSandbox:
 # memo(key, build) returns build() the first time a key is seen, then that result.
 SandboxMemo = Callable[[tuple, Callable[[], SceneSandbox]], SceneSandbox]
 
+# share(motion, write) calls write(directory) once per motion and returns the directory.
+SharedViews = Callable[[AbstractMotion, Callable[[Path], None]], Path]
+
 
 class _Once:
     """Single flight per key: the first caller for a key loads it; later
@@ -447,7 +460,11 @@ class ProviderSet:
     scene, keyed by (motion, tuple(hints)); with None they run every call.
     `encode_png`, when set, replaces `png_bytes` for image artifacts (a
     `PngMemo` shares encodes between records); with None every write
-    encodes."""
+    encodes. `shared_views`, when set and artifacts are written, receives
+    stages 1-3's view artifacts: it writes them once per motion into a
+    directory shared by the scene's records and returns it, and the record
+    gets only a `views.json` pointer there. With None they go into the
+    record's own tree, the input view before the direction query."""
 
     input_view: ViewFrame
     generator: object
@@ -457,6 +474,7 @@ class ProviderSet:
     up_axis: np.ndarray
     sandbox_memo: SandboxMemo | None = None
     encode_png: Callable[[np.ndarray], bytes] | None = None
+    shared_views: SharedViews | None = None
 
 
 def _bounds_from_scene(scene: dict) -> WorldBounds:
@@ -471,7 +489,7 @@ def _bounds_from_scene(scene: dict) -> WorldBounds:
 
 class SceneCache:
     """Shared scene-side providers across eval records (worlds and bundles),
-    plus the eval's `PngMemo`."""
+    plus the eval's `PngMemo` and its once-per-motion view writes."""
 
     def __init__(self, config: PipelineConfig):
         self.config = config
@@ -480,6 +498,7 @@ class SceneCache:
         self._synthetic = _Once()
         self._bundles = _Once()
         self._sandboxes = _Once()
+        self._views = _Once()
         self._http_vlm: HttpChatVlm | None = None
 
     def synthetic_provider(self, key: tuple) -> SyntheticSceneProvider:
@@ -493,6 +512,13 @@ class SceneCache:
         """Stages 6-7 of one scene entry, built once per (motion, hints) key."""
         return self._sandboxes.get((scene_key, key), build)
 
+    def views(self, scene_dir: Path, motion: AbstractMotion, write) -> Path:
+        """`scene_dir/<motion>`, after `write` filled it: one writer per
+        directory, whom the other callers wait for."""
+        directory = scene_dir / motion.value
+        self._views.get(directory, partial(write, directory))
+        return directory
+
     def _shared_http_vlm(self) -> HttpChatVlm:
         # The client holds the memo itself, never this cache: a reference
         # back would make a cycle that outlives run_eval until a gc pass.
@@ -505,8 +531,13 @@ class SceneCache:
                 )
             return self._http_vlm
 
-    def providers_for(self, record: QARecord, index: int) -> ProviderSet:
+    def providers_for(
+        self, record: QARecord, index: int, views_dir: Path | None = None
+    ) -> ProviderSet:
+        """The record's providers; with `views_dir`, its view artifacts go
+        once per motion beneath that directory (see `views`)."""
         scene = record.scene
+        shared_views = None if views_dir is None else partial(self.views, views_dir)
         kind = scene.get("kind")
         if kind == "synthetic":
             key = (int(scene["seed"]), int(scene["objects"]), _bounds_from_scene(scene))
@@ -520,6 +551,7 @@ class SceneCache:
                 up_axis=sp.world.up_axis,
                 sandbox_memo=partial(self.sandbox, key),
                 encode_png=self.png_memo,
+                shared_views=shared_views,
             )
         if kind == "bundle":
             path = str(scene["path"])
@@ -533,6 +565,7 @@ class SceneCache:
                 up_axis=bundle.up_axis,
                 sandbox_memo=partial(self.sandbox, path),
                 encode_png=self.png_memo,
+                shared_views=shared_views,
             )
         raise ConfigError(f"record {record.qid}: unknown scene kind {kind!r}")
 
@@ -617,6 +650,35 @@ def _pose_floats(pose: CameraPose) -> list[float]:
     m[:3, :3] = pose.rotation
     m[:3, 3] = pose.translation
     return [float(x) for x in m.reshape(-1)]
+
+
+def _write_views(art: _Artifacts, frames, trajectories=None) -> None:
+    """Stages 1-3's artifacts: `views/<tag>.{png,f32}` for each frame (the
+    input view's tag is `input`) and, when given, `trajectories.json`."""
+    if not art.enabled:
+        return
+    if trajectories is not None:
+        art.json(
+            "trajectories.json",
+            [
+                {
+                    "m": spec.trajectory_index,
+                    "heading_deg": spec.heading_deg,
+                    "poses": [_pose_floats(p) for p in spec.poses],
+                }
+                for spec in trajectories
+            ],
+        )
+    for frame in frames:
+        art.image(f"views/{frame.view_id.tag()}.png", frame.image)
+        art.depth(f"views/{frame.view_id.tag()}.f32", frame.depth.values)
+
+
+_SAFE_NAME = re.compile(r"[^A-Za-z0-9._-]+")
+
+
+def _safe(name: str) -> str:
+    return _SAFE_NAME.sub("_", name)
 
 
 def _dense_cloud(frames, stride: int) -> tuple[ProxyCloud, dict[int, str]]:
@@ -704,8 +766,10 @@ def run_pipeline(
     notes: list[str] = []
     calls = 0
 
-    art.image("views/input.png", input_view.image)
-    art.depth("views/input.f32", input_view.depth.values)
+    share_views = providers.shared_views
+    if share_views is None:
+        # before the direction query, so a failed query still leaves it
+        _write_views(art, [input_view])
 
     # (1) direction query
     direction_turn = ChatTurn(
@@ -730,18 +794,6 @@ def run_pipeline(
     trajectories = instantiate_trajectories(
         motion, config.m_candidates, config.t_steps, config.step_m, config.sweep_deg
     )
-    if art.enabled:
-        art.json(
-            "trajectories.json",
-            [
-                {
-                    "m": spec.trajectory_index,
-                    "heading_deg": spec.heading_deg,
-                    "poses": [_pose_floats(p) for p in spec.poses],
-                }
-                for spec in trajectories
-            ],
-        )
 
     # (3) multi-view generation; missing bundle frames drop their trajectory
     frames: list[ViewFrame] = []
@@ -750,9 +802,15 @@ def run_pipeline(
             frames.extend(providers.generator.generate(input_view, spec))
         except MissingViewError as err:
             degradations.append(str(err))
-    for frame in frames:
-        art.image(f"views/{frame.view_id.tag()}.png", frame.image)
-        art.depth(f"views/{frame.view_id.tag()}.f32", frame.depth.values)
+    if share_views is None:
+        _write_views(art, frames, trajectories)
+    elif art.enabled:
+        views = [input_view, *frames]
+        shared = share_views(
+            motion,
+            lambda d: _write_views(_Artifacts(d, providers.encode_png), views, trajectories),
+        )
+        art.json("views.json", {"dir": Path(os.path.relpath(shared, art.root)).as_posix()})
 
     if mode != "mv_only" and len(frames) < 2:
         if degradations:
@@ -895,7 +953,7 @@ def run_pipeline(
                 for cam in cameras
             )
     for suffix, render in zip(("stepback", "topdown"), renders):
-        art.image(f"{qid}_{suffix}.png", render.image)
+        art.image(f"{_safe(qid)}_{suffix}.png", render.image)
 
     # (9) final prompt
     turns = compose_prompt(
@@ -1000,19 +1058,13 @@ class RunReport:
         return len(self.rows)
 
 
-_SAFE_NAME = re.compile(r"[^A-Za-z0-9._-]+")
-
-
-def _safe(name: str) -> str:
-    return _SAFE_NAME.sub("_", name)
-
-
 def run_eval(config: PipelineConfig, benchmark_path, out_dir=None) -> RunReport:
     """Score every benchmark record; single-record failures never abort.
 
     Each scene's sandbox (stages 6-7) is built once per (motion, hints) and
-    shared by the questions that ask for it, and each distinct image is
-    encoded as PNG once per eval; see the module docstring."""
+    shared by the questions that ask for it, each distinct image is encoded
+    as PNG once per eval, and with `eval_artifacts` each scene's views are
+    written once per motion; see the module docstring."""
     try:
         records = read_benchmark(benchmark_path)
     except (OSError, ValueError, json.JSONDecodeError) as err:
@@ -1027,7 +1079,15 @@ def run_eval(config: PipelineConfig, benchmark_path, out_dir=None) -> RunReport:
         raise ConfigError("geometry_mock requires synthetic scenes")
 
     out_root = Path(out_dir) if out_dir is not None else None
+    scene_dirs = None  # per record: scenes/<n>, n numbering the distinct scene specs
     if out_root is not None and config.eval_artifacts:
+        numbers: dict[str, int] = {}
+        scene_dirs = [
+            out_root / "scenes" / str(
+                numbers.setdefault(json.dumps(r.scene, sort_keys=True), len(numbers))
+            )
+            for r in records
+        ]
         owners: dict[str, str] = {}
         for record in records:
             name = _safe(record.qid)
@@ -1046,11 +1106,12 @@ def run_eval(config: PipelineConfig, benchmark_path, out_dir=None) -> RunReport:
 
     def work(index: int, record: QARecord) -> RecordResult:
         start = time.perf_counter()
-        record_dir = None
-        if out_root is not None and config.eval_artifacts:
+        record_dir = views_dir = None
+        if scene_dirs is not None:
             record_dir = out_root / "records" / _safe(record.qid)
+            views_dir = scene_dirs[index]
         try:
-            providers = cache.providers_for(record, index)
+            providers = cache.providers_for(record, index, views_dir)
             result = run_pipeline(
                 config, providers, record.question, record.choices,
                 qid=_safe(record.qid), out_dir=record_dir,

@@ -543,7 +543,9 @@ def _reply(text):
 
 def test_criterion_8_http_client_transcript():
     server = ThreadingHTTPServer(("127.0.0.1", 0), _StubHandler)
-    threading.Thread(target=server.serve_forever, daemon=True).start()
+    threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
+    ).start()
     base_url = f"http://127.0.0.1:{server.server_port}"
     client = HttpChatVlm(
         base_url=base_url, model="test-model", api_key="sekret", backoff_s=0.001

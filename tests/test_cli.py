@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
 
 from sandbox3d.cli import main
+from sandbox3d.qa import read_benchmark, write_benchmark
 
 
 def _synth(tmp_path, questions=3, seed=0, objects=2):
@@ -64,6 +66,23 @@ def test_run_bundle_mv_only_random_mock(tmp_path, capsys):
     assert "mode: mv_only -> mv_only" in stdout
     assert "answer: " in stdout
     assert (art / "result.json").is_file()
+
+
+def test_run_keeps_render_names_under_out(tmp_path, capsys):
+    bundle = _synth(tmp_path)
+    manifest_path = bundle / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["scene_id"] = "../../escaped"
+    manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+    out = tmp_path / "a" / "b" / "out"
+    argv = ["run", "--bundle", str(bundle), "--question", str(bundle / "question0.json"),
+            "--mode", "pointcloud_render", "--vlm", "random_mock", "--out", str(out)]
+    assert main(argv) == 0
+    assert "mode: pointcloud_render -> pointcloud_render" in capsys.readouterr().out
+    assert not list((tmp_path / "a").glob("escaped_*"))
+    assert sorted(p.name for p in out.glob("*.png")) == [
+        ".._.._escaped_stepback.png", ".._.._escaped_topdown.png"
+    ]
 
 
 def test_run_full_degrades_on_mock_hints(tmp_path, capsys):
@@ -151,6 +170,34 @@ def test_eval_random_mock_cli(tmp_path, capsys):
     assert "n: 3" in stdout and "accuracy: " in stdout
     assert (report_dir / "report.json").is_file()
     assert (report_dir / "report.csv").is_file()
+
+
+def test_eval_artifacts_point_records_at_shared_views(tmp_path, capsys):
+    bundle = _synth(tmp_path, questions=4)
+    synthetic = read_benchmark(bundle / "questions.jsonl")
+    on_disk = [
+        dataclasses.replace(r, qid=f"{r.qid}-disk", scene={"kind": "bundle", "path": str(bundle)})
+        for r in synthetic
+    ]
+    bench = tmp_path / "bench.jsonl"
+    write_benchmark(on_disk + synthetic, bench)
+    ini = tmp_path / "eval.ini"
+    ini.write_text("[pipeline]\neval_artifacts = true\nparallelism = 2\n", encoding="utf-8")
+    out = tmp_path / "out"
+    argv = ["eval", "--benchmark", str(bench), "--config", str(ini), "--vlm", "random_mock",
+            "--mode", "mv_only", "--out", str(out)]
+    assert main(argv) == 0
+    assert "n: 8" in capsys.readouterr().out
+    assert (out / "report.json").is_file() and (out / "report.csv").is_file()
+    for index, record in enumerate(on_disk + synthetic):
+        record_dir = out / "records" / record.qid
+        pointer = json.loads((record_dir / "views.json").read_text())
+        assert pointer == {"dir": f"../../scenes/{index // 4}/forward"}
+        views = record_dir / pointer["dir"]
+        assert (views / "trajectories.json").is_file()
+        assert len(list((views / "views").glob("*.png"))) == 13
+        assert len(list((views / "views").glob("*.f32"))) == 13
+    assert sorted(p.name for p in (out / "scenes").iterdir()) == ["0", "1"]
 
 
 def test_eval_missing_benchmark_exits_2(tmp_path, capsys):

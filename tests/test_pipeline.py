@@ -31,6 +31,7 @@ from sandbox3d.providers import (
     BundleMultiViewGenerator,
     GeometryMockVlm,
     ImagePart,
+    RandomMockVlm,
     ScriptedVlm,
     SyntheticSceneProvider,
     TextPart,
@@ -532,6 +533,27 @@ def test_provider_error_stages(sp):
     assert failed.error == "answer_query" and failed.vlm_calls == 2
 
 
+def test_failed_direction_query_still_leaves_the_input_view(tmp_path, sp):
+    result = run_pipeline(
+        _CFG, _providers(sp, ScriptedVlm([])), QUESTION, CHOICES, out_dir=tmp_path
+    )
+    assert result.error == "direction_query"
+    assert sorted(p.name for p in (tmp_path / "views").iterdir()) == ["input.f32", "input.png"]
+    assert not (tmp_path / "views.json").exists()
+    assert not (tmp_path / "trajectories.json").exists()
+
+
+def test_render_names_are_file_names_in_the_out_dir(tmp_path, sp):
+    # the CLI case, an id that climbs out of --out, is in test_cli.py
+    cfg = dataclasses.replace(_CFG, mode="pointcloud_render")
+    vlm = ScriptedVlm(["forward", "<answer> A </answer>"])
+    assert run_pipeline(
+        cfg, _providers(sp, vlm), QUESTION, CHOICES, qid="a/b", out_dir=tmp_path
+    ).answer
+    assert sorted(p.name for p in tmp_path.glob("*.png")) == ["a_b_stepback.png", "a_b_topdown.png"]
+    assert not (tmp_path / "a").exists()
+
+
 def test_answer_parse_failure_is_a_note_not_an_error(sp):
     vlm = ScriptedVlm(["forward", _hint_reply(sp), "hmm."])
     result = run_pipeline(_CFG, _providers(sp, vlm), QUESTION, CHOICES)
@@ -739,22 +761,35 @@ def _tree(root: Path) -> dict[str, bytes]:
     return {p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()}
 
 
+def _resolved_tree(record_dir: Path) -> dict[str, bytes]:
+    """An eval record's tree with its `views.json` pointer replaced by the
+    files of the scene directory it names."""
+    tree = _tree(record_dir)
+    pointer = json.loads(tree.pop("views.json"))
+    assert set(pointer) == {"dir"} and pointer["dir"].startswith("../../scenes/")
+    views = _tree(record_dir / pointer["dir"])
+    assert views and not views.keys() & tree.keys()
+    return {**tree, **views}
+
+
 def _eval_matches_standalone(tmp_path, cfg, records):
-    """run_eval's per-record artifacts equal a memo-less run_pipeline's, byte
-    for byte; returns the eval report."""
+    """run_eval's per-record artifacts, with the shared views they point at,
+    equal a memo-less run_pipeline's, byte for byte; returns the eval report."""
     cfg = dataclasses.replace(cfg, eval_artifacts=True)
     path = _bench_path(tmp_path, records)
     report = run_eval(cfg, path, out_dir=tmp_path / "eval")
     assert report.failed == ()
     cache = SceneCache(cfg)
     for index, record in enumerate(records):
-        providers = dataclasses.replace(cache.providers_for(record, index), sandbox_memo=None)
+        providers = dataclasses.replace(
+            cache.providers_for(record, index), sandbox_memo=None, shared_views=None
+        )
         alone = tmp_path / "alone" / record.qid
         run_pipeline(
             cfg, providers, record.question, record.choices, qid=record.qid, out_dir=alone
         )
-        shared = _tree(tmp_path / "eval" / "records" / record.qid)
-        assert "result.json" in shared
+        shared = _resolved_tree(tmp_path / "eval" / "records" / record.qid)
+        assert "result.json" in shared and "views/input.f32" in shared
         assert shared == _tree(alone), record.qid
     return report
 
@@ -916,6 +951,135 @@ def test_scene_cache_sandbox_memo_builds_each_key_once_under_contention():
     by_key = {}
     for key, sandbox in results.values():
         assert by_key.setdefault(key, sandbox) is sandbox
+
+
+# ── Shared view artifacts ──────────────────────────────────────────────────
+
+
+def _view_keys(out: Path, records) -> dict[str, tuple[str, str]]:
+    """Per record id: (scene spec, motion) as its direction.json reports it."""
+    keys = {}
+    for record in records:
+        direction = json.loads((out / "records" / record.qid / "direction.json").read_text())
+        keys[record.qid] = (json.dumps(record.scene, sort_keys=True), direction["motion"])
+    return keys
+
+
+def _views_dir(out: Path, qid: str) -> Path:
+    pointer = json.loads((out / "records" / qid / "views.json").read_text())
+    return out / "records" / qid / pointer["dir"]
+
+
+@pytest.mark.parametrize("parallelism", [1, 2])
+def test_run_eval_writes_each_scene_motion_views_once(monkeypatch, tmp_path, parallelism):
+    records = build_benchmark(10, questions_per_world=5)
+    writes = _count_calls(monkeypatch, "write_depth_raw")
+    cfg = PipelineConfig(
+        vlm="geometry_mock", cluster=ClusterParams(eps=0.25), parallelism=parallelism,
+        eval_artifacts=True,
+    )
+    out = tmp_path / "eval"
+    report = run_eval(cfg, _bench_path(tmp_path, records), out_dir=out)
+    assert report.failed == ()
+    keys = _view_keys(out, records)
+    assert 1 < len(set(keys.values())) < len(records)
+    assert len(writes) == 13 * len(set(keys.values()))
+
+    # scenes are numbered in order of first appearance, motions by value
+    numbers = {}
+    for record in records:
+        spec, motion = keys[record.qid]
+        n = numbers.setdefault(spec, len(numbers))
+        pointer = json.loads((out / "records" / record.qid / "views.json").read_text())
+        assert pointer == {"dir": f"../../scenes/{n}/{motion}"}
+        assert not (out / "records" / record.qid / "views").exists()
+        assert not (out / "records" / record.qid / "trajectories.json").exists()
+    assert sorted(p.name for p in (out / "scenes").iterdir()) == [
+        str(n) for n in range(len(numbers))
+    ]
+
+
+def test_run_eval_gives_each_motion_its_own_views(monkeypatch, tmp_path):
+    motions = ("forward", "left", "fwd-right")
+    monkeypatch.setattr(
+        SceneCache,
+        "_vlm_for",
+        lambda self, record, index, _sp: RandomMockVlm(index, motions[index % 3]),
+    )
+    writes = _count_calls(monkeypatch, "write_depth_raw")
+    records = _one_scene(5)
+    cfg = PipelineConfig(mode="mv_only", vlm="random_mock")
+    report = _eval_matches_standalone(tmp_path, cfg, records)
+    assert all(r.mode_used == "mv_only" for r in report.rows)
+    out = tmp_path / "eval"
+    dirs = [_views_dir(out, r.qid).resolve() for r in records]
+    assert [d.relative_to(out.resolve()).as_posix() for d in dirs] == [
+        f"scenes/0/{motions[i % 3]}" for i in range(5)
+    ]
+    trajectories = {d.name: (d / "trajectories.json").read_bytes() for d in dirs}
+    assert len(set(trajectories.values())) == 3
+    # three shared writes, then one per standalone run
+    assert len(writes) == 13 * (3 + len(records))
+
+
+def test_run_eval_does_not_cache_a_failed_view_write(monkeypatch, tmp_path):
+    # the first depth write waits until the other worker is waiting on it,
+    # then fails; both records report the error and the next record rewrites
+    arrived = []
+    both = threading.Event()
+    real_views = SceneCache.views
+
+    def views(self, *args):
+        arrived.append(1)
+        if len(arrived) == 2:
+            both.set()
+        return real_views(self, *args)
+
+    writes = []
+    real_write = pipeline.write_depth_raw
+
+    def flaky_write(path, values):
+        writes.append(path)
+        if len(writes) == 1:
+            assert both.wait(timeout=10)
+            time.sleep(0.2)  # the second caller is now inside the single flight
+            raise OSError("disk full")
+        return real_write(path, values)
+
+    monkeypatch.setattr(SceneCache, "views", views)
+    monkeypatch.setattr(pipeline, "write_depth_raw", flaky_write)
+    cfg = PipelineConfig(
+        mode="mv_only", vlm="random_mock", parallelism=2, eval_artifacts=True
+    )
+    records = _one_scene(5)
+    out = tmp_path / "eval"
+    report = run_eval(cfg, _bench_path(tmp_path, records), out_dir=out)
+    assert report.failed == (records[0].qid, records[1].qid)
+    payload = json.loads((out / "report.json").read_text())
+    assert [r["error"] for r in payload["records"][:2]] == ["OSError: disk full"] * 2
+    assert all(r.error is None for r in report.rows[2:])
+    assert len(writes) == 1 + 13  # the failure, then one complete rewrite
+    for record in records[2:]:
+        views_dir = _views_dir(out, record.qid)
+        assert len(list((views_dir / "views").glob("*.f32"))) == 13
+
+
+def test_run_eval_record_failing_its_direction_query_gets_no_views(monkeypatch, tmp_path):
+    real_vlm_for = SceneCache._vlm_for
+
+    def vlm_for(self, record, index, sp_):
+        return ScriptedVlm([]) if index == 0 else real_vlm_for(self, record, index, sp_)
+
+    monkeypatch.setattr(SceneCache, "_vlm_for", vlm_for)
+    cfg = PipelineConfig(mode="mv_only", vlm="random_mock", eval_artifacts=True)
+    records = _one_scene(2)
+    out = tmp_path / "eval"
+    report = run_eval(cfg, _bench_path(tmp_path, records), out_dir=out)
+    assert report.failed == (records[0].qid,)
+    failed_dir = out / "records" / records[0].qid
+    assert (failed_dir / "config.json").is_file()
+    assert not (failed_dir / "views.json").exists() and not (failed_dir / "views").exists()
+    assert (_views_dir(out, records[1].qid) / "views" / "input.png").is_file()
 
 
 def test_run_eval_rejects_ids_sharing_an_artifact_directory(tmp_path):
