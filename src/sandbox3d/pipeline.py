@@ -41,6 +41,15 @@ it, so each distinct image is encoded once per eval however many records
 write or send it. `png_bytes` is a pure function of the pixels, so artifacts
 and request bodies are byte-identical to a memo-less run; with no
 `encode_png` in its `ProviderSet`, `run_pipeline` encodes on every write.
+
+With `parallelism > 1`, `run_eval` schedules by scene. Each scene's first
+record in benchmark order starts at once; the scene's other records are
+submitted to the pool only after that first record has returned, whether it
+succeeded or failed. So no worker blocks on a scene's bundle load, view write
+or sandbox build: the first record has done them. Siblings that ask for a
+(motion, hints) key the first record did not still meet in the single flights
+above. Rows stay in benchmark order. The cost: a one-scene eval runs its
+first record alone.
 """
 
 from __future__ import annotations
@@ -1064,7 +1073,10 @@ def run_eval(config: PipelineConfig, benchmark_path, out_dir=None) -> RunReport:
     Each scene's sandbox (stages 6-7) is built once per (motion, hints) and
     shared by the questions that ask for it, each distinct image is encoded
     as PNG once per eval, and with `eval_artifacts` each scene's views are
-    written once per motion; see the module docstring."""
+    written once per motion. With more than one worker, a scene's other
+    records start only after its first record has returned, so a one-scene
+    eval runs its first record alone; rows keep benchmark order. See the
+    module docstring."""
     try:
         records = read_benchmark(benchmark_path)
     except (OSError, ValueError, json.JSONDecodeError) as err:
@@ -1078,16 +1090,14 @@ def run_eval(config: PipelineConfig, benchmark_path, out_dir=None) -> RunReport:
     ):
         raise ConfigError("geometry_mock requires synthetic scenes")
 
+    numbers: dict[str, int] = {}  # per distinct scene spec, in order of first appearance
+    scene_of = [
+        numbers.setdefault(json.dumps(r.scene, sort_keys=True), len(numbers)) for r in records
+    ]
     out_root = Path(out_dir) if out_dir is not None else None
-    scene_dirs = None  # per record: scenes/<n>, n numbering the distinct scene specs
+    scene_dirs = None  # per record: scenes/<n>
     if out_root is not None and config.eval_artifacts:
-        numbers: dict[str, int] = {}
-        scene_dirs = [
-            out_root / "scenes" / str(
-                numbers.setdefault(json.dumps(r.scene, sort_keys=True), len(numbers))
-            )
-            for r in records
-        ]
+        scene_dirs = [out_root / "scenes" / str(n) for n in scene_of]
         owners: dict[str, str] = {}
         for record in records:
             name = _safe(record.qid)
@@ -1145,9 +1155,28 @@ def run_eval(config: PipelineConfig, benchmark_path, out_dir=None) -> RunReport:
         # stays resident (a sporadic +40 MB peak RSS over repeated evals).
         rows = [work(i, rec) for i, rec in enumerate(records)]
     else:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            futures = [pool.submit(work, i, rec) for i, rec in enumerate(records)]
-            rows = [future.result() for future in futures]
+        scenes: dict[int, list[int]] = {}
+        for i, n in enumerate(scene_of):
+            scenes.setdefault(n, []).append(i)
+        pool = ThreadPoolExecutor(max_workers=max_workers)
+
+        def run_scene(first: int, rest: list[int]):
+            # The siblings start only now, so none waits in a worker for the
+            # first record's bundle load, view write or sandbox build.
+            row = work(first, records[first])
+            return row, [pool.submit(work, i, records[i]) for i in rest]
+
+        try:
+            rows = [None] * len(records)
+            heads = [pool.submit(run_scene, g[0], g[1:]) for g in scenes.values()]
+            for g, head in zip(scenes.values(), heads):
+                rows[g[0]], rest = head.result()  # every sibling is submitted by now
+                for i, future in zip(g[1:], rest):
+                    rows[i] = future.result()
+        finally:
+            # Nothing is queued here unless a BaseException cut the loop
+            # short; then drop the queue and join the workers.
+            pool.shutdown(cancel_futures=True)
 
     accuracy = sum(r.correct for r in rows) / len(rows)
     by_category = {}

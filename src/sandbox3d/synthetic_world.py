@@ -31,7 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import BehindCameraError, GenerationError
+from .errors import GenerationError
 from .qa import (
     LETTERS,
     QARecord,
@@ -47,8 +47,6 @@ from .scene_model import (
     CameraPose,
     DepthGrid,
     OrientedBox3,
-    box_corners,
-    project,
     rotation_about_axis,
 )
 
@@ -177,15 +175,35 @@ def _footprints_separated(a: CuboidSpec, b: CuboidSpec, gap: float) -> bool:
     return False
 
 
+# `scene_model.box_corners` signs. Frustum tests and render windows build
+# corners from them directly: an OrientedBox3 per cuboid costs ten times as much.
+_CORNER_SIGNS = np.array([[1.0 if (i >> a) & 1 else -1.0 for a in range(3)] for i in range(8)])
+
+
+def _corners(cub: CuboidSpec, axes: np.ndarray) -> np.ndarray:
+    """`box_corners(cub.box())`, by the same float operations."""
+    return np.array(cub.center) + (_CORNER_SIGNS * (np.array(cub.size) / 2.0)) @ axes.T
+
+
 def _in_frustum(cuboid: CuboidSpec, pose: CameraPose, intr: CameraIntrinsics, margin: int) -> bool:
-    try:
-        for corner in box_corners(cuboid.box()):
-            (u, v), _ = project(corner, intr, pose)
-            if not (margin <= u < intr.width - margin and margin <= v < intr.height - margin):
-                return False
-    except BehindCameraError:
+    """Every corner in front of the camera and `margin` px inside the frame.
+
+    One array pass with `project`'s float operations per corner. The
+    corners equal `box_corners(cuboid.box())`; the camera transform equals
+    the per-corner one bit for bit when the rotation is a signed
+    permutation, as `generate_world`'s identity pose is.
+    """
+    half = np.array(cuboid.size) / 2.0
+    if not np.all(half > 0):
+        raise ValueError("half extents must be positive")  # as cuboid.box() would
+    cam = pose.inverse_transform(_corners(cuboid, cuboid.axes()))
+    z = cam[:, 2]
+    if not np.all(z > 0):
         return False
-    return True
+    u = intr.fx * cam[:, 0] / z + intr.cx
+    v = intr.fy * cam[:, 1] / z + intr.cy
+    inside = (margin <= u) & (u < intr.width - margin) & (margin <= v) & (v < intr.height - margin)
+    return bool(inside.all())
 
 
 def generate_world(seed: int, k: int, bounds: WorldBounds | None = None) -> WorldSpec:
@@ -220,10 +238,6 @@ def generate_world(seed: int, k: int, bounds: WorldBounds | None = None) -> Worl
 
 # ── Analytic rendering ─────────────────────────────────────────────────────
 
-# `scene_model.box_corners` signs. Windows build corners from them directly:
-# an OrientedBox3 per cuboid per render costs ten times as much.
-_CORNER_SIGNS = np.array([[1.0 if (i >> a) & 1 else -1.0 for a in range(3)] for i in range(8)])
-
 
 @lru_cache(maxsize=8)
 def _pixel_dirs(fx: float, fy: float, cx: float, cy: float, w: int, h: int) -> np.ndarray:
@@ -245,8 +259,7 @@ def _cuboid_window(
     None when the padded rectangle misses the raster.
     """
     h, w = intr.height, intr.width
-    corners = np.array(cub.center) + (_CORNER_SIGNS * (np.array(cub.size) / 2.0)) @ axes.T
-    cam = pose.inverse_transform(corners)
+    cam = pose.inverse_transform(_corners(cub, axes))
     z = cam[:, 2]
     if not np.all(z > 1e-6):
         return slice(0, h), slice(0, w)

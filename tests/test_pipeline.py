@@ -800,6 +800,26 @@ def _one_scene(n=5):
     return records
 
 
+def _eval_within(cfg, path, out_dir=None, timeout=60):
+    """run_eval on its own thread, failing rather than hanging on a deadlock;
+    returns its report or raises what it raised."""
+    outcome = {}
+
+    def target():
+        try:
+            outcome["report"] = run_eval(cfg, path, out_dir=out_dir)
+        except BaseException as err:  # re-raised on the calling thread
+            outcome["error"] = err
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(timeout)
+    assert not thread.is_alive(), f"run_eval still running after {timeout} s"
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["report"]
+
+
 @pytest.mark.parametrize("parallelism", [1, 2])
 def test_run_eval_builds_each_scene_sandbox_once(monkeypatch, tmp_path, parallelism):
     elevations = _count_calls(monkeypatch, "elevate_object")
@@ -1023,27 +1043,36 @@ def test_run_eval_gives_each_motion_its_own_views(monkeypatch, tmp_path):
 
 
 def test_run_eval_does_not_cache_a_failed_view_write(monkeypatch, tmp_path):
-    # the first depth write waits until the other worker is waiting on it,
-    # then fails; both records report the error and the next record rewrites
+    # record 0 picks `forward` and runs alone; records 1 and 2, the first two
+    # siblings, both pick `left`. The first `left` depth write waits until
+    # both are in SceneCache.views, then fails; both records report the
+    # error and the next `left` record rewrites the directory.
+    monkeypatch.setattr(
+        SceneCache,
+        "_vlm_for",
+        lambda self, record, index, _sp: RandomMockVlm(index, "forward" if index == 0 else "left"),
+    )
     arrived = []
     both = threading.Event()
     real_views = SceneCache.views
 
-    def views(self, *args):
-        arrived.append(1)
-        if len(arrived) == 2:
-            both.set()
-        return real_views(self, *args)
+    def views(self, scene_dir, motion, write):
+        if motion is AbstractMotion.LEFT:
+            arrived.append(1)
+            if len(arrived) == 2:
+                both.set()
+        return real_views(self, scene_dir, motion, write)
 
     writes = []
     real_write = pipeline.write_depth_raw
 
     def flaky_write(path, values):
-        writes.append(path)
-        if len(writes) == 1:
-            assert both.wait(timeout=10)
-            time.sleep(0.2)  # the second caller is now inside the single flight
-            raise OSError("disk full")
+        if path.parent.parent.name == "left":
+            writes.append(path)
+            if len(writes) == 1:
+                assert both.wait(timeout=10)
+                time.sleep(0.2)  # the second caller is now inside the single flight
+                raise OSError("disk full")
         return real_write(path, values)
 
     monkeypatch.setattr(SceneCache, "views", views)
@@ -1053,14 +1082,15 @@ def test_run_eval_does_not_cache_a_failed_view_write(monkeypatch, tmp_path):
     )
     records = _one_scene(5)
     out = tmp_path / "eval"
-    report = run_eval(cfg, _bench_path(tmp_path, records), out_dir=out)
-    assert report.failed == (records[0].qid, records[1].qid)
+    report = _eval_within(cfg, _bench_path(tmp_path, records), out_dir=out)
+    assert report.failed == (records[1].qid, records[2].qid)
     payload = json.loads((out / "report.json").read_text())
-    assert [r["error"] for r in payload["records"][:2]] == ["OSError: disk full"] * 2
-    assert all(r.error is None for r in report.rows[2:])
+    assert [r["error"] for r in payload["records"][1:3]] == ["OSError: disk full"] * 2
+    assert all(report.rows[i].error is None for i in (0, 3, 4))
     assert len(writes) == 1 + 13  # the failure, then one complete rewrite
-    for record in records[2:]:
+    for record in records[3:]:
         views_dir = _views_dir(out, record.qid)
+        assert views_dir.name == "left"
         assert len(list((views_dir / "views").glob("*.f32"))) == 13
 
 
@@ -1105,3 +1135,166 @@ def test_run_eval_rejects_ids_that_name_no_directory_under_records(tmp_path, qid
         run_eval(cfg, path, out_dir=tmp_path / "out")
     assert not (tmp_path / "out").exists()  # no record ran
     assert run_eval(dataclasses.replace(cfg, eval_artifacts=False), path).failed == ()
+
+
+# ── Scheduling by scene ────────────────────────────────────────────────────
+
+
+class _Timeline:
+    """When each record starts (it asks for its providers) and returns
+    (run_pipeline returns or raises, or providers_for raises). Each record
+    calls `before_run(qid)` first: by default it holds the record open a
+    while, as a real one would, so that a sibling started too early overlaps
+    it."""
+
+    def __init__(self, monkeypatch, before_run=lambda qid: time.sleep(0.02)):
+        self.events: list[tuple[str, str]] = []
+        self._lock = threading.Lock()
+        self.running = self.peak = 0
+        real_providers_for = SceneCache.providers_for
+        real_run = pipeline.run_pipeline
+
+        def providers_for(cache, record, index, views_dir=None):
+            self._log("start", record.qid, +1)
+            try:
+                return real_providers_for(cache, record, index, views_dir)
+            except BaseException:
+                self._log("end", record.qid, -1)
+                raise
+
+        def run(config, providers, question, choices, qid="", out_dir=None):
+            try:
+                before_run(qid)
+                return real_run(config, providers, question, choices, qid=qid, out_dir=out_dir)
+            finally:
+                self._log("end", qid, -1)
+
+        monkeypatch.setattr(SceneCache, "providers_for", providers_for)
+        monkeypatch.setattr(pipeline, "run_pipeline", run)
+
+    def _log(self, kind, qid, step):
+        with self._lock:
+            self.events.append((kind, qid))
+            self.running += step
+            self.peak = max(self.peak, self.running)
+
+    def assert_siblings_wait(self, records):
+        """No record starts before the first record of its scene returned."""
+        at = {event: i for i, event in enumerate(self.events)}
+        assert len(at) == 2 * len(records)  # each record started and returned once
+        first: dict[str, str] = {}
+        for record in records:
+            head = first.setdefault(json.dumps(record.scene, sort_keys=True), record.qid)
+            if head != record.qid:
+                assert at[("end", head)] < at[("start", record.qid)], record.qid
+
+
+def _two_scenes_interleaved():
+    records = build_benchmark(10, questions_per_world=5)
+    a, b = records[:5], records[5:]
+    assert a[0].scene != b[0].scene
+    return [r for pair in zip(a, b) for r in pair]
+
+
+@pytest.mark.parametrize("parallelism", [2, 4])
+def test_run_eval_starts_siblings_after_their_first_record(monkeypatch, tmp_path, parallelism):
+    records = build_benchmark(15, questions_per_world=5)
+    timeline = _Timeline(monkeypatch)
+    cfg = PipelineConfig(mode="mv_only", vlm="random_mock", parallelism=parallelism)
+    report = _eval_within(cfg, _bench_path(tmp_path, records))
+    assert report.failed == ()
+    timeline.assert_siblings_wait(records)
+    assert timeline.peak > 1
+
+
+@pytest.mark.parametrize("parallelism", [2, 4])
+def test_run_eval_groups_interleaved_scenes_and_keeps_benchmark_order(
+    monkeypatch, tmp_path, parallelism
+):
+    records = _two_scenes_interleaved()
+    timeline = _Timeline(monkeypatch)
+    cfg = PipelineConfig(mode="mv_only", vlm="random_mock", parallelism=parallelism)
+    report = _eval_within(cfg, _bench_path(tmp_path, records))
+    assert report.failed == ()
+    assert [r.qid for r in report.rows] == [r.qid for r in records]
+    timeline.assert_siblings_wait(records)
+    serial = run_eval(dataclasses.replace(cfg, parallelism=1), _bench_path(tmp_path, records))
+    assert [dataclasses.replace(r, wall_ms=0.0) for r in report.rows] == [
+        dataclasses.replace(r, wall_ms=0.0) for r in serial.rows
+    ]
+
+
+@pytest.mark.parametrize("parallelism", [2, 4])
+@pytest.mark.parametrize("failure", ["direction_query", "providers_for"])
+def test_run_eval_a_failed_first_record_releases_its_siblings(
+    monkeypatch, tmp_path, parallelism, failure
+):
+    records = _two_scenes_interleaved()
+    heads = {0, 1}  # the first record of each scene
+    if failure == "direction_query":
+        real_vlm_for = SceneCache._vlm_for
+
+        def vlm_for(self, record, index, sp_):
+            if index in heads:
+                return ScriptedVlm([])  # ProviderError on the direction query
+            return real_vlm_for(self, record, index, sp_)
+
+        monkeypatch.setattr(SceneCache, "_vlm_for", vlm_for)
+    else:
+        real_providers_for = SceneCache.providers_for
+
+        def providers_for(self, record, index, views_dir=None):
+            if index in heads:
+                raise RuntimeError("scene unavailable")
+            return real_providers_for(self, record, index, views_dir)
+
+        monkeypatch.setattr(SceneCache, "providers_for", providers_for)
+    timeline = _Timeline(monkeypatch)
+    cfg = PipelineConfig(mode="mv_only", vlm="random_mock", parallelism=parallelism)
+    report = _eval_within(cfg, _bench_path(tmp_path, records))
+    assert report.failed == (records[0].qid, records[1].qid)
+    expected = {
+        "direction_query": "direction_query",  # the stage whose provider call failed
+        "providers_for": "RuntimeError: scene unavailable",
+    }[failure]
+    assert [r.error for r in report.rows[:2]] == [expected] * 2
+    assert all(r.error is None for r in report.rows[2:])
+    timeline.assert_siblings_wait(records)
+
+
+def test_run_eval_runs_one_scene_siblings_at_once(monkeypatch, tmp_path):
+    # each sibling waits in a pair at a barrier, so a scheduler that ran one
+    # sibling at a time would break it: a slow real VLM must not serialize a scene
+    records = _one_scene(5)
+    pair = threading.Barrier(2, timeout=10)
+
+    def before_run(qid):
+        if qid != records[0].qid:
+            pair.wait()
+
+    timeline = _Timeline(monkeypatch, before_run)
+    cfg = PipelineConfig(mode="mv_only", vlm="random_mock", parallelism=4)
+    report = _eval_within(cfg, _bench_path(tmp_path, records))
+    assert report.failed == ()
+    timeline.assert_siblings_wait(records)
+    assert timeline.peak >= 2
+
+
+@pytest.mark.parametrize("parallelism", [2, 4])
+@pytest.mark.parametrize("raiser", [1, 4])  # scene B's first record; a sibling in scene A
+def test_run_eval_leaves_with_a_worker_base_exception(monkeypatch, tmp_path, parallelism, raiser):
+    records = _two_scenes_interleaved()
+    real_run = pipeline.run_pipeline
+
+    def run(config, providers, question, choices, qid="", out_dir=None):
+        if qid == records[raiser].qid:
+            raise SystemExit(3)
+        return real_run(config, providers, question, choices, qid=qid, out_dir=out_dir)
+
+    monkeypatch.setattr(pipeline, "run_pipeline", run)
+    before = set(threading.enumerate())
+    cfg = PipelineConfig(mode="mv_only", vlm="random_mock", parallelism=parallelism)
+    with pytest.raises(SystemExit) as caught:
+        _eval_within(cfg, _bench_path(tmp_path, records))
+    assert caught.value.code == 3
+    assert set(threading.enumerate()) <= before  # every pool worker has exited

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from sandbox3d import synthetic_world
+from sandbox3d.errors import BehindCameraError
 from sandbox3d.providers import SyntheticRig
 from sandbox3d.qa import evaluate_question
 from sandbox3d.sandbox_render import PALETTE
@@ -165,6 +167,56 @@ def test_generate_world_validates_k():
         generate_world(0, 0)
     with pytest.raises(ValueError):
         generate_world(0, 9)
+
+
+def _ref_in_frustum(cuboid, pose, intr, margin):
+    """The per-corner frustum test: the oracle `_in_frustum` must match."""
+    try:
+        for corner in box_corners(cuboid.box()):
+            (u, v), _ = project(corner, intr, pose)
+            if not (margin <= u < intr.width - margin and margin <= v < intr.height - margin):
+                return False
+    except BehindCameraError:
+        return False
+    return True
+
+
+def test_in_frustum_matches_the_per_corner_test(monkeypatch):
+    # every candidate placement generate_world tries, across both bounds and
+    # every object count the benchmark draws, over seeds spread across 0-1499
+    fast = synthetic_world._in_frustum
+    verdicts = []
+
+    def both(cuboid, pose, intr, margin):
+        got = fast(cuboid, pose, intr, margin)
+        assert got is _ref_in_frustum(cuboid, pose, intr, margin), cuboid
+        verdicts.append(got)
+        return got
+
+    monkeypatch.setattr(synthetic_world, "_in_frustum", both)
+    for seed in range(0, 1500, 100):
+        for k in range(1, 6):
+            for bounds in (WorldBounds(), BENCHMARK_BOUNDS):
+                try:
+                    generate_world(seed, k, bounds)
+                except GenerationError:  # after max_attempts candidates, all checked
+                    pass
+    assert len(verdicts) > 5_000 and 0 < sum(verdicts) < len(verdicts)
+
+    # corners behind the camera, straddling it, past either side, far and near
+    world = generate_world(0, 1)
+    pose, intr = world.input_pose, world.input_intrinsics
+    for x, z in [(0.0, -3.0), (0.0, 0.2), (-2.6, 3.0), (2.6, 3.0), (0.0, 40.0), (0.0, 2.0)]:
+        cub = CuboidSpec((x, -0.4, z), 30.0, (0.5, 0.8, 0.5), "box", 0)
+        for margin in (0, 6, 200):
+            assert fast(cub, pose, intr, margin) is _ref_in_frustum(cub, pose, intr, margin)
+
+    # a non-positive size fails as building the cuboid's box does
+    flat = CuboidSpec((0.0, 0.0, 3.0), 0.0, (0.5, 0.0, 0.5), "box", 0)
+    with pytest.raises(ValueError, match="half extents must be positive"):
+        flat.box()
+    with pytest.raises(ValueError, match="half extents must be positive"):
+        fast(flat, pose, intr, 6)
 
 
 def _input_frame(world):
