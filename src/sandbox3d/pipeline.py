@@ -14,17 +14,19 @@ Artifacts for every stage are written beneath an output directory and are
 deterministic byte-for-byte given the same config, seed, and scripted model
 replies.
 
-Stages 6-7 (proxy elevation, consensus voting per label, box fitting) depend
-on the scene, the chosen motion and the object hints, never on the question.
-`run_eval` therefore builds them once per scene entry (synthetic world or
-bundle path) and (motion, tuple(hints)) key, in its `SceneCache`; the config
-is fixed per cache, so it is not part of the key. An entry holds only small
-frozen objects: the consensus-kept cloud per label (read-only arrays), the
-`SandboxScene` or the `EmptySandboxError` text, the lifted and kept counts,
-and the number of skipped (view, object) pairs. Hint and answer queries,
-question-level artifact writes and stage-8 renders still run for every
-question. A bare `run_pipeline` call, with no memo in its `ProviderSet`,
-builds the sandbox on every call.
+Stages 6-8 for the hint modes (proxy elevation, consensus voting per label,
+box fitting, then the mode's renders and coordinate text) depend on the
+scene, the chosen motion, the object hints and the config, never on the
+question. `run_eval` therefore builds them once per scene entry (synthetic
+world or bundle path) and (motion, tuple(hints)) key, in its `SceneCache`;
+the config is fixed per cache, so it is not part of the key. An entry holds
+the `SandboxScene` or the `EmptySandboxError` text, the lifted and kept
+counts, the number of skipped (view, object) pairs, the coordinate text and,
+in `full` and `proxy_render` mode, two read-only renders (768 KiB each at the
+default 512x512), held until `run_eval` returns. Hint and answer queries,
+degrade decisions, question-level artifact writes and `pointcloud_render`'s
+dense cloud still run for every question. A bare `run_pipeline` call, with no
+memo in its `ProviderSet`, builds the sandbox and its renders on every call.
 
 Stages 1-3's artifacts (`trajectories.json` and the input plus synthesized
 views, `views/<tag>.{png,f32}`) depend only on the scene and the motion. A
@@ -401,13 +403,16 @@ def compose_prompt(
 
 @dataclass(frozen=True)
 class SceneSandbox:
-    """Stages 6-7 for one scene, motion and hint list; shared by questions."""
+    """Stages 6-8 for one scene, motion and hint list; shared by questions."""
 
-    kept: tuple[ProxyCloud, ...]  # consensus survivors, one cloud per label, first-seen order
     scene: SandboxScene | None
     empty_error: str | None  # why fit_sandbox found no box, when it found none
     counts: tuple[tuple[str, int, int], ...]  # (label, lifted, kept), sorted by label
     skipped: int  # (view, object) pairs elevation could not lift
+    # step-back and top-down views with read-only images: the boxes in full
+    # mode, the consensus-kept points in proxy_render, else none
+    renders: tuple[RenderedView, ...]
+    coords_text: str | None  # serialize_text_coords(scene), when there is a scene
 
 
 # memo(key, build) returns build() the first time a key is seen, then that result.
@@ -465,7 +470,7 @@ class PngMemo:
 class ProviderSet:
     """Everything run_pipeline needs about one scene.
 
-    `sandbox_memo`, when set, shares stages 6-7 between questions of the
+    `sandbox_memo`, when set, shares stages 6-8 between questions of the
     scene, keyed by (motion, tuple(hints)); with None they run every call.
     `encode_png`, when set, replaces `png_bytes` for image artifacts (a
     `PngMemo` shares encodes between records); with None every write
@@ -518,7 +523,7 @@ class SceneCache:
         return self._bundles.get(path, lambda: load_bundle(path))
 
     def sandbox(self, scene_key, key: tuple, build) -> SceneSandbox:
-        """Stages 6-7 of one scene entry, built once per (motion, hints) key."""
+        """Stages 6-8 of one scene entry, built once per (motion, hints) key."""
         return self._sandboxes.get((scene_key, key), build)
 
     def views(self, scene_dir: Path, motion: AbstractMotion, write) -> Path:
@@ -707,6 +712,26 @@ def _dense_cloud(frames, stride: int) -> tuple[ProxyCloud, dict[int, str]]:
     return merge_clouds(clouds), labels
 
 
+def _stepback(input_view: ViewFrame, config: PipelineConfig) -> PerspectiveCamera:
+    return PerspectiveCamera(
+        stepback_camera(input_view.pose, config.stepback_m), input_view.intrinsics
+    )
+
+
+def _point_renders(cloud, labels, config, input_view, up_axis) -> tuple[RenderedView, ...]:
+    """Step-back and top-down splats of `cloud`, legend ids per `labels`."""
+    cameras = (
+        _stepback(input_view, config),
+        topdown_camera_for_points(cloud.xyz, input_view.pose, up_axis),
+    )
+    return tuple(
+        render_points(
+            cloud, cam, config.style, labels=labels, origin=input_view.pose, up_axis=up_axis
+        )
+        for cam in cameras
+    )
+
+
 def build_scene_sandbox(
     config: PipelineConfig,
     input_view: ViewFrame,
@@ -715,11 +740,13 @@ def build_scene_sandbox(
     segmenter,
     up_axis: np.ndarray,
 ) -> SceneSandbox:
-    """Stages 6-7: proxy elevation over the input view plus every synthesized
-    view, consensus voting once per label, then clustering and box fitting.
+    """Stages 6-8: proxy elevation over the input view plus every synthesized
+    view, consensus voting once per label, clustering and box fitting, then
+    `config.mode`'s renders and the coordinate text.
 
     Elevation failures for one (view, object) pair are counted, not raised;
-    an empty box scene is kept as the EmptySandboxError text.
+    an empty box scene is kept as the EmptySandboxError text. Whether the
+    question degrades is `run_pipeline`'s call.
     """
     clouds_by_label: dict[str, list[ProxyCloud]] = {}
     skipped = 0
@@ -753,7 +780,25 @@ def build_scene_sandbox(
         (label, sum(len(c) for c in clouds_by_label[label]), len(cloud))
         for label, cloud in sorted(kept.items())
     )
-    return SceneSandbox(tuple(kept.values()), scene, empty_error, counts, skipped)
+
+    # (8) the mode's context, read-only because every question shares it
+    renders: tuple[RenderedView, ...] = ()
+    coords_text = None
+    if scene is not None:
+        coords_text = serialize_text_coords(scene)
+        if config.mode == "full":
+            renders = (
+                render_boxes(scene, _stepback(input_view, config), config.style),
+                render_boxes(scene, topdown_camera(scene), config.style),
+            )
+    if config.mode == "proxy_render":
+        merged = merge_clouds(kept.values())
+        if len(merged):
+            labels = {h.object_id: h.label for h in hints}
+            renders = _point_renders(merged, labels, config, input_view, up_axis)
+    for render in renders:
+        render.image.flags.writeable = False
+    return SceneSandbox(scene, empty_error, counts, skipped, renders, coords_text)
 
 
 def run_pipeline(
@@ -836,8 +881,8 @@ def run_pipeline(
     ]
 
     hints: list[ObjectHint] = []
-    scene = None
-    sandbox = None
+    renders: tuple[RenderedView, ...] = ()
+    coords_text = None
 
     needs_hints = mode in ("full", "text_coords", "proxy_render")
     if needs_hints:
@@ -879,7 +924,7 @@ def run_pipeline(
             needs_hints = False
 
     if needs_hints:
-        # (6)-(7) proxy elevation, consensus voting, box fitting
+        # (6)-(8) proxy elevation, consensus voting, box fitting, mode context
         build = partial(
             build_scene_sandbox,
             config, input_view, frames, hints, providers.segmenter, providers.up_axis,
@@ -888,79 +933,27 @@ def run_pipeline(
         sandbox = build() if memo is None else memo((motion, tuple(hints)), build)
         if sandbox.skipped:
             notes.append(f"elevation skipped {sandbox.skipped} (view, object) pairs")
-        scene = sandbox.scene
         if sandbox.empty_error is not None and mode in ("full", "text_coords"):
             degradations.append(f"empty sandbox: {sandbox.empty_error}")
+            mode = "mv_only"
+        elif mode == "proxy_render" and not sandbox.renders:
+            degradations.append("no proxy points survived consensus voting")
             mode = "mv_only"
         art.json(
             "proxies.json",
             {label: {"lifted": lifted, "kept": kept} for label, lifted, kept in sandbox.counts},
         )
-        if scene is not None and art.enabled:
-            art.text("sandbox.json", serialize_text_coords(scene))
-
-    # (8) mode context: renders or coordinate text
-    renders: tuple[RenderedView, ...] = ()
-    coords_text = None
-    if mode == "full" and scene is not None:
-        stepback = render_boxes(
-            scene,
-            PerspectiveCamera(
-                stepback_camera(input_view.pose, config.stepback_m), input_view.intrinsics
-            ),
-            config.style,
-        )
-        topdown = render_boxes(scene, topdown_camera(scene), config.style)
-        renders = (stepback, topdown)
-    elif mode == "text_coords" and scene is not None:
-        coords_text = serialize_text_coords(scene)
-    elif mode == "proxy_render":
-        merged = merge_clouds(sandbox.kept)
-        if len(merged) == 0:
-            degradations.append("no proxy points survived consensus voting")
-            mode = "mv_only"
-        else:
-            labels = {h.object_id: h.label for h in hints}
-            cameras = (
-                PerspectiveCamera(
-                    stepback_camera(input_view.pose, config.stepback_m), input_view.intrinsics
-                ),
-                topdown_camera_for_points(merged.xyz, input_view.pose, providers.up_axis),
-            )
-            renders = tuple(
-                render_points(
-                    merged,
-                    cam,
-                    config.style,
-                    labels=labels,
-                    origin=input_view.pose,
-                    up_axis=providers.up_axis,
-                )
-                for cam in cameras
-            )
+        if sandbox.coords_text is not None:
+            art.text("sandbox.json", sandbox.coords_text)
+        renders, coords_text = sandbox.renders, sandbox.coords_text
     elif mode == "pointcloud_render":
+        # (8) depth-lifted cloud of the input and synthesized views
         dense, labels = _dense_cloud([input_view, *frames], config.pointcloud_stride)
         if len(dense) == 0:
             degradations.append("depth maps produced no valid points")
             mode = "mv_only"
         else:
-            cameras = (
-                PerspectiveCamera(
-                    stepback_camera(input_view.pose, config.stepback_m), input_view.intrinsics
-                ),
-                topdown_camera_for_points(dense.xyz, input_view.pose, providers.up_axis),
-            )
-            renders = tuple(
-                render_points(
-                    dense,
-                    cam,
-                    config.style,
-                    labels=labels,
-                    origin=input_view.pose,
-                    up_axis=providers.up_axis,
-                )
-                for cam in cameras
-            )
+            renders = _point_renders(dense, labels, config, input_view, providers.up_axis)
     for suffix, render in zip(("stepback", "topdown"), renders):
         art.image(f"{_safe(qid)}_{suffix}.png", render.image)
 
@@ -1070,13 +1063,13 @@ class RunReport:
 def run_eval(config: PipelineConfig, benchmark_path, out_dir=None) -> RunReport:
     """Score every benchmark record; single-record failures never abort.
 
-    Each scene's sandbox (stages 6-7) is built once per (motion, hints) and
-    shared by the questions that ask for it, each distinct image is encoded
-    as PNG once per eval, and with `eval_artifacts` each scene's views are
-    written once per motion. With more than one worker, a scene's other
-    records start only after its first record has returned, so a one-scene
-    eval runs its first record alone; rows keep benchmark order. See the
-    module docstring."""
+    Each scene's sandbox and prompt context (stages 6-8) is built once per
+    (motion, hints) and shared by the questions that ask for it until
+    run_eval returns, each distinct image is encoded as PNG once per eval,
+    and with `eval_artifacts` each scene's views are written once per motion.
+    With more than one worker, a scene's other records start only after its
+    first record has returned, so a one-scene eval runs its first record
+    alone; rows keep benchmark order. See the module docstring."""
     try:
         records = read_benchmark(benchmark_path)
     except (OSError, ValueError, json.JSONDecodeError) as err:

@@ -683,7 +683,8 @@ def parse_object_hints(
 ) -> tuple[list[ObjectHint], list[str]]:
     """Extract object hints from a model reply.
 
-    Scans for the first JSON array containing {label, x, y} objects.
+    Scans for the first JSON array containing {label, x, y} objects; items
+    without a non-empty label and two finite numbers are skipped.
     Coordinates are rounded and clamped into bounds (noted), duplicates
     dropped after clamping, and ids assigned in listing order. Raises
     HintParseError when no usable array exists.
@@ -712,6 +713,8 @@ def parse_object_hints(
                 continue
             if not isinstance(x, (int, float)) or not isinstance(y, (int, float)):
                 continue
+            if not all(math.isfinite(v) for v in (x, y) if isinstance(v, float)):
+                continue  # json decodes NaN, Infinity and 1e999
             xi = min(max(int(round(x)), 0), width - 1)
             yi = min(max(int(round(y)), 0), height - 1)
             if (xi, yi) != (int(round(x)), int(round(y))):

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import json
 import re
 import sys
 import threading
 import time
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -507,6 +509,16 @@ def test_hint_parse_failure_degrades_to_mv_only(tmp_path, sp):
     assert not (tmp_path / "sandbox.json").exists()
 
 
+@pytest.mark.parametrize("x", ["1e999", "NaN", "-Infinity"])
+def test_non_finite_hint_coordinates_degrade_to_mv_only(sp, x):
+    reply = '[{"label": "%s", "x": %s, "y": 2}]' % (sp.world.cuboids[0].label, x)
+    vlm = ScriptedVlm(["forward", reply, "<answer> A </answer>"])
+    result = run_pipeline(_CFG, _providers(sp, vlm), QUESTION, CHOICES)
+    assert result.error is None and result.answer == "A"
+    assert result.mode_used == "mv_only"
+    assert [d for d in result.degradations if d.startswith("hint parse failed")]
+
+
 def test_background_hints_empty_sandbox_degrades(tmp_path, sp):
     # pixel (2, 2) is sky in every generated world: elevation finds nothing
     reply = json.dumps([{"label": sp.world.cuboids[0].label, "x": 2, "y": 2}])
@@ -824,20 +836,103 @@ def _eval_within(cfg, path, out_dir=None, timeout=60):
 def test_run_eval_builds_each_scene_sandbox_once(monkeypatch, tmp_path, parallelism):
     elevations = _count_calls(monkeypatch, "elevate_object")
     fits = _count_calls(monkeypatch, "fit_sandbox")
+    renders = _count_calls(monkeypatch, "render_boxes")
     cfg = PipelineConfig(
         vlm="geometry_mock", cluster=ClusterParams(eps=0.25), parallelism=parallelism
     )
     one = _bench_path(tmp_path, _one_scene(1), "one.jsonl")
     assert run_eval(cfg, one).failed == ()
     per_build = len(elevations)
-    assert per_build > 0 and len(fits) == 1
+    assert per_build > 0 and len(fits) == 1 and len(renders) == 2
 
     elevations.clear()
     fits.clear()
+    renders.clear()
     report = run_eval(cfg, _bench_path(tmp_path, _one_scene(5)))
     assert report.n == 5 and report.failed == () and report.accuracy == 1.0
     assert len(elevations) == per_build
     assert len(fits) == 1
+    assert len(renders) == 2  # step-back and top-down, shared by the 5 questions
+
+
+@pytest.mark.parametrize("parallelism", [1, 2])
+def test_run_eval_renders_each_scene_proxy_points_once(monkeypatch, tmp_path, parallelism):
+    renders = _count_calls(monkeypatch, "render_points")
+    cfg = PipelineConfig(
+        mode="proxy_render", vlm="geometry_mock", cluster=ClusterParams(eps=0.25),
+        parallelism=parallelism,
+    )
+    report = run_eval(cfg, _bench_path(tmp_path, _one_scene(5)))
+    assert report.failed == ()
+    assert all(r.mode_used == "proxy_render" for r in report.rows)
+    assert len(renders) == 2
+
+
+@pytest.mark.parametrize("mode", ["full", "text_coords"])
+def test_run_eval_serializes_each_sandbox_once(monkeypatch, tmp_path, mode):
+    serialized = _count_calls(monkeypatch, "serialize_text_coords")
+    cfg = PipelineConfig(
+        mode=mode, vlm="geometry_mock", cluster=ClusterParams(eps=0.25), parallelism=1,
+        eval_artifacts=True,
+    )
+    records = _one_scene(5)
+    out = tmp_path / "out"
+    report = run_eval(cfg, _bench_path(tmp_path, records), out_dir=out)
+    assert report.failed == () and all(r.mode_used == mode for r in report.rows)
+    assert len(serialized) == 1  # sandbox.json and the text_coords prompt share it
+    texts = {(out / "records" / r.qid / "sandbox.json").read_text() for r in records}
+    assert len(texts) == 1
+
+
+def test_bare_run_pipeline_renders_on_every_call(monkeypatch, sp):
+    # no memo in the ProviderSet, so nothing may survive between calls
+    renders = _count_calls(monkeypatch, "render_boxes")
+    for _ in range(2):
+        vlm = ScriptedVlm(["forward", _hint_reply(sp), _ANSWER_B])
+        assert run_pipeline(_CFG, _providers(sp, vlm), QUESTION, CHOICES).answer == "B"
+    assert len(renders) == 4
+
+
+def _capture_returns(monkeypatch, name, keep):
+    """Wrap pipeline.<name> so `keep(result)` sees each value it returns."""
+    original = getattr(pipeline, name)
+
+    def captured(*args, **kwargs):
+        result = original(*args, **kwargs)
+        keep(result)
+        return result
+
+    monkeypatch.setattr(pipeline, name, captured)
+
+
+@pytest.mark.parametrize(
+    ("mode", "renderer"), [("full", "render_boxes"), ("proxy_render", "render_points")]
+)
+def test_run_eval_shares_read_only_renders(monkeypatch, tmp_path, mode, renderer):
+    views = []
+    _capture_returns(monkeypatch, renderer, views.append)
+    cfg = PipelineConfig(mode=mode, vlm="geometry_mock", cluster=ClusterParams(eps=0.25))
+    assert run_eval(cfg, _bench_path(tmp_path, _one_scene(3))).failed == ()
+    assert len(views) == 2
+    for view in views:
+        with pytest.raises(ValueError, match="read-only"):
+            view.image[0, 0] = 0
+
+
+@pytest.mark.parametrize("parallelism", [1, 2])
+def test_run_eval_frees_its_renders_when_it_returns(monkeypatch, tmp_path, parallelism):
+    images = []
+    _capture_returns(
+        monkeypatch, "render_boxes", lambda view: images.append(weakref.ref(view.image))
+    )
+    cfg = PipelineConfig(
+        vlm="geometry_mock", cluster=ClusterParams(eps=0.25), parallelism=parallelism
+    )
+    path = _bench_path(tmp_path, build_benchmark(10, questions_per_world=5))
+    assert run_eval(cfg, path).failed == ()
+    assert len(images) == 4  # two scenes, two views each
+    gc.collect()
+    assert [ref() is None for ref in images] == [True] * len(images)
 
 
 @pytest.mark.parametrize("mode", ["full", "text_coords", "proxy_render"])

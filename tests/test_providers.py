@@ -76,6 +76,15 @@ def test_parse_object_hints_skips_malformed_items():
     raw = '[{"label": "", "x": 1, "y": 1}, {"label": "ok", "x": true, "y": 2}, "noise", {"label": "keep", "x": 3, "y": 4}]'
     hints, _ = parse_object_hints(raw, 128, 128)
     assert [h.label for h in hints] == ["keep"]
+    # json decodes these to non-finite floats; none of them names a pixel
+    raw = (
+        '[{"label": "inf", "x": 1e999, "y": 2}, {"label": "nan", "x": NaN, "y": 2},'
+        ' {"label": "ninf", "x": 3, "y": -Infinity}, {"label": "keep", "x": 3, "y": 4}]'
+    )
+    hints, notes = parse_object_hints(raw, 128, 128)
+    assert [h.label for h in hints] == ["keep"] and notes == []
+    with pytest.raises(HintParseError):
+        parse_object_hints('[{"label": "a", "x": 1e999, "y": 2}]', 64, 64)
 
 
 def test_parse_object_hints_no_array_raises():
