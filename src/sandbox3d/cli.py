@@ -26,8 +26,8 @@ from .errors import BundleFormatError, ConfigError, GenerationError, ProviderErr
 from .pipeline import (
     MODES,
     PipelineConfig,
-    PngMemo,
     ProviderSet,
+    SceneContext,
     config_from_ini,
     run_eval,
     run_pipeline,
@@ -89,15 +89,15 @@ def _read_question(path: str) -> tuple[str, list[str], str]:
 def _cmd_run(args) -> int:
     config = _load_config(args.config, args.mode, args.vlm)
     bundle = load_bundle(args.bundle)
-    png_memo = PngMemo()  # artifacts and requests share each image's encode
+    scene = SceneContext()  # artifacts and requests share each image's encode
     providers = ProviderSet(
         input_view=bundle.input_view(),
         generator=BundleMultiViewGenerator(bundle.frames_by_view()),
         depth_estimator=StoredDepthEstimator(),
         segmenter=BundleSegmenter(bundle.masks),
-        vlm=_vlm_from_config(config, png_memo),
+        vlm=_vlm_from_config(config, scene.png_memo),
         up_axis=bundle.up_axis,
-        encode_png=png_memo,
+        scene=scene,
     )
     question, choices, qid = _read_question(args.question)
     result = run_pipeline(

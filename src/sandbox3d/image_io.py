@@ -3,9 +3,8 @@
 PNG support covers exactly what the toolkit writes and reads back: 8-bit
 greyscale or RGB, no interlace. The encoder always emits filter type 0, which
 keeps output bytes a pure function of the pixels; the decoder additionally
-understands filters 1-4 so externally produced files load too. PPM (P6) is
-kept as a zero-dependency fallback format. Depth grids are stored headerless
-as row-major little-endian float32.
+understands filters 1-4 so externally produced files load too. Depth grids
+are stored headerless as row-major little-endian float32.
 """
 
 from __future__ import annotations
@@ -140,54 +139,13 @@ def read_png(path) -> np.ndarray:
     return img[:, :, 0] if channels == 1 else img
 
 
-def write_ppm(path, image: np.ndarray) -> None:
-    """P6 fallback encoder for (h, w, 3) uint8 images."""
-    img = np.asarray(image)
-    if img.dtype != np.uint8 or img.ndim != 3 or img.shape[2] != 3:
-        raise ValueError("PPM image must be (h, w, 3) uint8")
-    h, w = img.shape[:2]
-    with open(path, "wb") as f:
-        f.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
-        f.write(img.tobytes())
-
-
-def read_ppm(path) -> np.ndarray:
-    blob = Path(path).read_bytes()
-    if not blob.startswith(b"P6"):
-        raise ValueError("not a binary PPM file")
-    fields: list[bytes] = []
-    pos = 2
-    while len(fields) < 3:
-        while pos < len(blob) and blob[pos : pos + 1].isspace():
-            pos += 1
-        if blob[pos : pos + 1] == b"#":
-            while blob[pos : pos + 1] not in (b"\n", b""):
-                pos += 1
-            continue
-        start = pos
-        while pos < len(blob) and not blob[pos : pos + 1].isspace():
-            pos += 1
-        fields.append(blob[start:pos])
-    pos += 1  # single whitespace after maxval
-    w, h, maxval = (int(f) for f in fields)
-    if maxval != 255:
-        raise ValueError("only 8-bit PPM supported")
-    return np.frombuffer(blob, dtype=np.uint8, count=w * h * 3, offset=pos).reshape(
-        h, w, 3
-    )
-
-
 def write_image(path, image: np.ndarray) -> None:
-    """Dispatch on extension; PNG by default, PPM as the fallback format."""
-    if str(path).lower().endswith(".ppm"):
-        write_ppm(path, image)
-    else:
-        write_png(path, image)
+    """PNG, whatever the suffix."""
+    write_png(path, image)
 
 
 def read_image(path) -> np.ndarray:
-    if str(path).lower().endswith(".ppm"):
-        return read_ppm(path)
+    """A PNG, whatever the suffix; raises ValueError for any other file."""
     return read_png(path)
 
 

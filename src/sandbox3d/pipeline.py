@@ -14,35 +14,22 @@ Artifacts for every stage are written beneath an output directory and are
 deterministic byte-for-byte given the same config, seed, and scripted model
 replies.
 
-Stages 6-8 for the hint modes (proxy elevation, consensus voting per label,
-box fitting, then the mode's renders and coordinate text) depend on the
-scene, the chosen motion, the object hints and the config, never on the
-question. `run_eval` therefore builds them once per scene entry (synthetic
-world or bundle path) and (motion, tuple(hints)) key, in its `SceneCache`;
-the config is fixed per cache, so it is not part of the key. An entry holds
-the `SandboxScene` or the `EmptySandboxError` text, the lifted and kept
-counts, the number of skipped (view, object) pairs, the coordinate text and,
-in `full` and `proxy_render` mode, two read-only renders (768 KiB each at the
-default 512x512), held until `run_eval` returns. Hint and answer queries,
-degrade decisions, question-level artifact writes and `pointcloud_render`'s
-dense cloud still run for every question. A bare `run_pipeline` call, with no
-memo in its `ProviderSet`, builds the sandbox and its renders on every call.
+What the questions about one scene share lives in its `SceneContext`: stages
+6-8 (elevation, consensus, box fitting, then the mode's read-only renders and
+coordinate text), built once per (config, motion, hints); one PNG encode per
+distinct image, whose bytes equal a fresh `png_bytes` call's; and, with a
+views directory, stages 1-3's view artifacts written once per motion. Hint
+and answer queries, degrade decisions, question-level artifacts and
+`pointcloud_render`'s dense cloud run for every question.
 
-Stages 1-3's artifacts (`trajectories.json` and the input plus synthesized
-views, `views/<tag>.{png,f32}`) depend only on the scene and the motion. A
-standalone run writes them into its own tree. With `eval_artifacts`,
-`run_eval` writes them once per (scene, motion) under
-`<out>/scenes/<n>/<motion>/`, where `<n>` numbers the distinct scene specs
-in order of first appearance, and each `records/<id>/` gets a `views.json`
-pointer, `{"dir": "../../scenes/<n>/<motion>"}`. A record whose direction
-query fails has no motion, so it gets no pointer.
-
-PNG encoding is shared the same way: `run_eval` keeps one `PngMemo` per eval,
-and both the artifact writer and the HTTP client's image parts encode through
-it, so each distinct image is encoded once per eval however many records
-write or send it. `png_bytes` is a pure function of the pixels, so artifacts
-and request bodies are byte-identical to a memo-less run; with no
-`encode_png` in its `ProviderSet`, `run_pipeline` encodes on every write.
+`run_eval` keeps one context per scene spec (and views directory) and one
+`PngMemo` for all of them and its HTTP client, until it returns. With
+`eval_artifacts`, a scene's views go to `<out>/scenes/<n>/<motion>/`, `<n>`
+numbering the distinct scene specs in order of first appearance, and each
+`records/<id>/` gets a `views.json` pointer, `{"dir": "../../scenes/<n>/<motion>"}`;
+a record whose direction query fails has no motion and no pointer. A bare
+`run_pipeline` call shares only within its `ProviderSet`'s context, and
+writes the views into its own tree.
 
 With `parallelism > 1`, `run_eval` schedules by scene. Each scene's first
 record in benchmark order starts at once; the scene's other records are
@@ -65,8 +52,9 @@ import os
 import re
 import threading
 import time
+import typing
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from importlib import resources
 from pathlib import Path
@@ -208,30 +196,47 @@ class PipelineConfig:
         return self.m_candidates * self.t_steps
 
 
+def _ini_keys(cls) -> dict[str, type]:
+    """A config dataclass's INI-settable fields: the scalar ones, with
+    `X | None` read as X. Other fields, such as a colour tuple, are not keys."""
+    keys = {}
+    for name, kind in typing.get_type_hints(cls).items():
+        args = typing.get_args(kind)
+        if type(None) in args and len(args) == 2:
+            kind = next(a for a in args if a is not type(None))
+        if kind in (int, float, str, bool):
+            keys[name] = kind
+    return keys
+
+
+_CONFIG_TYPES = typing.get_type_hints(PipelineConfig)
+_TRAJECTORY_KEYS = {
+    "m": "m_candidates", "t": "t_steps", "step_m": "step_m", "sweep_deg": "sweep_deg"
+}
+_SECTION_NAMES = {"style": "render"}  # where a section is not named after its field
+
+# section -> (the nested dataclass field it sets, or None for PipelineConfig's
+# own fields; {INI key: (field, scalar type)})
 _INI_SCHEMA = {
-    "pipeline": {
-        "mode": str,
-        "seed": int,
-        "vlm": str,
-        "base_url": str,
-        "model": str,
-        "parallelism": int,
-        "stepback_m": float,
-        "pointcloud_stride": int,
-        "outlier_filter": bool,
-        "eval_artifacts": bool,
+    "pipeline": (None, {
+        k: (k, t)
+        for k, t in _ini_keys(PipelineConfig).items()
+        if k not in _TRAJECTORY_KEYS.values()
+    }),
+    "trajectory": (None, {k: (f, _CONFIG_TYPES[f]) for k, f in _TRAJECTORY_KEYS.items()}),
+    **{
+        _SECTION_NAMES.get(f, f): (f, {k: (k, t) for k, t in _ini_keys(cls).items()})
+        for f, cls in _CONFIG_TYPES.items()
+        if dataclasses.is_dataclass(cls)
     },
-    "trajectory": {"m": int, "t": int, "step_m": float, "sweep_deg": float},
-    "elevation": {"n_pts": int, "erosion_iterations": int},
-    "consensus": {"delta": float, "n_agree": int},
-    "cluster": {"eps": float, "min_pts": int, "min_cluster_size": int, "min_extent": float},
-    "render": {"width": int, "height": int, "line_width": int, "point_size": int, "draw_axes": bool},
-    "decode": {"temperature": float, "max_tokens": int},
 }
 
 
 def config_from_ini(path) -> PipelineConfig:
-    """Build a PipelineConfig from an INI file; unknown keys are errors."""
+    """Build a PipelineConfig from an INI file; unknown keys are errors.
+
+    Sections and keys come from the config dataclasses, and so do the
+    defaults of keys the file leaves out."""
     parser = configparser.ConfigParser()
     text_path = Path(path)
     if not text_path.is_file():
@@ -240,51 +245,26 @@ def config_from_ini(path) -> PipelineConfig:
         parser.read_string(text_path.read_text(encoding="utf-8"), source=str(text_path))
     except configparser.Error as err:
         raise ConfigError(f"config: {err}") from err
+    for key in parser.defaults():  # [DEFAULT] would leak into every section
+        raise ConfigError(f"config: unknown key '{key}' in [DEFAULT]")
 
-    values: dict[str, dict[str, object]] = {}
+    top: dict[str, object] = {}
+    nested: dict[str, dict[str, object]] = {}
     for section in parser.sections():
         if section not in _INI_SCHEMA:
             raise ConfigError(f"config: unknown section [{section}]")
-        values[section] = {}
+        owner, keys = _INI_SCHEMA[section]
+        values = top if owner is None else nested.setdefault(owner, {})
         for key, raw in parser.items(section):
-            kind = _INI_SCHEMA[section].get(key)
-            if kind is None:
+            if key not in keys:
                 raise ConfigError(f"config: unknown key '{key}' in [{section}]")
+            name, kind = keys[key]
             try:
-                if kind is bool:
-                    values[section][key] = parser.getboolean(section, key)
-                else:
-                    values[section][key] = kind(raw)
+                values[name] = parser.getboolean(section, key) if kind is bool else kind(raw)
             except ValueError as err:
                 raise ConfigError(f"config: bad value for [{section}] {key}: {raw!r}") from err
-
-    def section(name: str) -> dict:
-        return values.get(name, {})
-
     try:
-        pipeline = section("pipeline")
-        traj = section("trajectory")
-        return PipelineConfig(
-            mode=pipeline.get("mode", "full"),
-            seed=pipeline.get("seed", 0),
-            m_candidates=traj.get("m", DEFAULT_M),
-            t_steps=traj.get("t", DEFAULT_T),
-            step_m=traj.get("step_m", DEFAULT_STEP_M),
-            sweep_deg=traj.get("sweep_deg", DEFAULT_SWEEP_DEG),
-            elevation=ElevationParams(**section("elevation")),
-            consensus=ConsensusParams(**section("consensus")),
-            cluster=ClusterParams(**section("cluster")),
-            style=RenderStyle(**section("render")),
-            decode=DecodeParams(**section("decode")),
-            stepback_m=pipeline.get("stepback_m", 2.0),
-            pointcloud_stride=pipeline.get("pointcloud_stride", 8),
-            outlier_filter=pipeline.get("outlier_filter", False),
-            vlm=pipeline.get("vlm", "http"),
-            base_url=pipeline.get("base_url"),
-            model=pipeline.get("model"),
-            parallelism=pipeline.get("parallelism"),
-            eval_artifacts=pipeline.get("eval_artifacts", False),
-        )
+        return PipelineConfig(**top, **{f: _CONFIG_TYPES[f](**kw) for f, kw in nested.items()})
     except (TypeError, ValueError) as err:
         raise ConfigError(f"config: {err}") from err
 
@@ -415,13 +395,6 @@ class SceneSandbox:
     coords_text: str | None  # serialize_text_coords(scene), when there is a scene
 
 
-# memo(key, build) returns build() the first time a key is seen, then that result.
-SandboxMemo = Callable[[tuple, Callable[[], SceneSandbox]], SceneSandbox]
-
-# share(motion, write) calls write(directory) once per motion and returns the directory.
-SharedViews = Callable[[AbstractMotion, Callable[[Path], None]], Path]
-
-
 class _Once:
     """Single flight per key: the first caller for a key loads it; later
     callers wait for that result. A failed load is not cached and raises in
@@ -466,19 +439,51 @@ class PngMemo:
         return self._encoded.get(key, lambda: png_bytes(img))
 
 
+@dataclass(eq=False)
+class SceneContext:
+    """What the questions about one scene share.
+
+    `sandbox` builds stages 6-8 once per (config, motion, tuple(hints)) key.
+    `png_memo` encodes every image artifact (and, in `run_eval` and
+    `sandbox3d run`, every HTTP image part). `views_dir` picks the layout of
+    stages 1-3's view artifacts: with None they go into each record's own
+    tree, the input view before the direction query; with a directory they
+    are written once per motion into `views_dir/<motion>`, and each record
+    gets a `views.json` pointer there. Everything lives as long as the
+    context."""
+
+    views_dir: Path | None = None
+    png_memo: PngMemo = field(default_factory=PngMemo)
+    _sandboxes: _Once = field(default_factory=_Once, init=False, repr=False)
+    _views: _Once = field(default_factory=_Once, init=False, repr=False)
+
+    def sandbox(self, key: tuple, build: Callable[[], SceneSandbox]) -> SceneSandbox:
+        return self._sandboxes.get(key, build)
+
+    def write_input(self, art: _Artifacts, input_view: ViewFrame) -> None:
+        """Before the direction query, so a record whose query fails keeps it."""
+        if self.views_dir is None:
+            _write_views(art, [input_view])
+
+    def write_views(self, art: _Artifacts, motion: AbstractMotion, views, trajectories) -> None:
+        """`views` is the input view, then the synthesized ones."""
+        if self.views_dir is None:
+            _write_views(art, views[1:], trajectories)
+        elif art.enabled:
+            shared = self.views_dir / motion.value
+            self._views.get(
+                motion,
+                lambda: _write_views(_Artifacts(shared, self.png_memo), views, trajectories),
+            )
+            art.json("views.json", {"dir": Path(os.path.relpath(shared, art.root)).as_posix()})
+
+
 @dataclass
 class ProviderSet:
-    """Everything run_pipeline needs about one scene.
-
-    `sandbox_memo`, when set, shares stages 6-8 between questions of the
-    scene, keyed by (motion, tuple(hints)); with None they run every call.
-    `encode_png`, when set, replaces `png_bytes` for image artifacts (a
-    `PngMemo` shares encodes between records); with None every write
-    encodes. `shared_views`, when set and artifacts are written, receives
-    stages 1-3's view artifacts: it writes them once per motion into a
-    directory shared by the scene's records and returns it, and the record
-    gets only a `views.json` pointer there. With None they go into the
-    record's own tree, the input view before the direction query."""
+    """Everything run_pipeline needs about one scene. Each ProviderSet made
+    without a `scene` gets its own context, so questions asked through one
+    ProviderSet share its sandboxes and encodes. `dataclasses.replace` keeps
+    the context: give a copy with other scene providers a fresh one."""
 
     input_view: ViewFrame
     generator: object
@@ -486,9 +491,7 @@ class ProviderSet:
     segmenter: object
     vlm: ChatVLM
     up_axis: np.ndarray
-    sandbox_memo: SandboxMemo | None = None
-    encode_png: Callable[[np.ndarray], bytes] | None = None
-    shared_views: SharedViews | None = None
+    scene: SceneContext = field(default_factory=SceneContext)
 
 
 def _bounds_from_scene(scene: dict) -> WorldBounds:
@@ -502,8 +505,9 @@ def _bounds_from_scene(scene: dict) -> WorldBounds:
 
 
 class SceneCache:
-    """Shared scene-side providers across eval records (worlds and bundles),
-    plus the eval's `PngMemo` and its once-per-motion view writes."""
+    """Scene-side state shared across an eval's records: worlds, bundles and
+    one `SceneContext` per (scene, views directory), all holding the eval's
+    `PngMemo`."""
 
     def __init__(self, config: PipelineConfig):
         self.config = config
@@ -511,8 +515,7 @@ class SceneCache:
         self._lock = threading.Lock()
         self._synthetic = _Once()
         self._bundles = _Once()
-        self._sandboxes = _Once()
-        self._views = _Once()
+        self._contexts = _Once()
         self._http_vlm: HttpChatVlm | None = None
 
     def synthetic_provider(self, key: tuple) -> SyntheticSceneProvider:
@@ -522,16 +525,10 @@ class SceneCache:
     def bundle(self, path: str) -> SceneBundle:
         return self._bundles.get(path, lambda: load_bundle(path))
 
-    def sandbox(self, scene_key, key: tuple, build) -> SceneSandbox:
-        """Stages 6-8 of one scene entry, built once per (motion, hints) key."""
-        return self._sandboxes.get((scene_key, key), build)
-
-    def views(self, scene_dir: Path, motion: AbstractMotion, write) -> Path:
-        """`scene_dir/<motion>`, after `write` filled it: one writer per
-        directory, whom the other callers wait for."""
-        directory = scene_dir / motion.value
-        self._views.get(directory, partial(write, directory))
-        return directory
+    def context(self, scene_key, views_dir: Path | None) -> SceneContext:
+        return self._contexts.get(
+            (scene_key, views_dir), lambda: SceneContext(views_dir, self.png_memo)
+        )
 
     def _shared_http_vlm(self) -> HttpChatVlm:
         # The client holds the memo itself, never this cache: a reference
@@ -549,12 +546,11 @@ class SceneCache:
         self, record: QARecord, index: int, views_dir: Path | None = None
     ) -> ProviderSet:
         """The record's providers; with `views_dir`, its view artifacts go
-        once per motion beneath that directory (see `views`)."""
-        scene = record.scene
-        shared_views = None if views_dir is None else partial(self.views, views_dir)
-        kind = scene.get("kind")
+        once per motion beneath that directory (see `SceneContext`)."""
+        spec = record.scene
+        kind = spec.get("kind")
         if kind == "synthetic":
-            key = (int(scene["seed"]), int(scene["objects"]), _bounds_from_scene(scene))
+            key = (int(spec["seed"]), int(spec["objects"]), _bounds_from_scene(spec))
             sp = self.synthetic_provider(key)
             return ProviderSet(
                 input_view=sp.input_view(),
@@ -563,12 +559,10 @@ class SceneCache:
                 segmenter=sp.segmenter,
                 vlm=self._vlm_for(record, index, sp),
                 up_axis=sp.world.up_axis,
-                sandbox_memo=partial(self.sandbox, key),
-                encode_png=self.png_memo,
-                shared_views=shared_views,
+                scene=self.context(key, views_dir),
             )
         if kind == "bundle":
-            path = str(scene["path"])
+            path = str(spec["path"])
             bundle = self.bundle(path)
             return ProviderSet(
                 input_view=bundle.input_view(),
@@ -577,9 +571,7 @@ class SceneCache:
                 segmenter=BundleSegmenter(bundle.masks),
                 vlm=self._vlm_for(record, index, None),
                 up_axis=bundle.up_axis,
-                sandbox_memo=partial(self.sandbox, path),
-                encode_png=self.png_memo,
-                shared_views=shared_views,
+                scene=self.context(path, views_dir),
             )
         raise ConfigError(f"record {record.qid}: unknown scene kind {kind!r}")
 
@@ -621,7 +613,7 @@ class _Artifacts:
     """Deterministic artifact writer; with no directory, every call no-ops.
 
     Callers test `enabled` before building a payload that costs work. Images
-    are encoded by `encode_png`, or by `png_bytes` when it is None."""
+    are encoded by `encode_png`."""
 
     def __init__(self, out_dir, encode_png):
         self.root = Path(out_dir) if out_dir is not None else None
@@ -649,7 +641,7 @@ class _Artifacts:
             return
         path = self.root / name
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_bytes((self.encode_png or png_bytes)(image))
+        path.write_bytes(self.encode_png(image))
 
     def depth(self, name: str, values: np.ndarray) -> None:
         if self.root is None:
@@ -810,9 +802,10 @@ def run_pipeline(
     out_dir=None,
 ) -> PipelineResult:
     """Run the ten pipeline stages for one question against one scene."""
-    art = _Artifacts(out_dir, providers.encode_png)
+    scene = providers.scene
+    art = _Artifacts(out_dir, scene.png_memo)
     if art.enabled:
-        art.json("config.json", _config_dict(config))
+        art.json("config.json", dataclasses.asdict(config))
     input_view = providers.input_view
     vlm = providers.vlm
     mode = config.mode
@@ -820,10 +813,7 @@ def run_pipeline(
     notes: list[str] = []
     calls = 0
 
-    share_views = providers.shared_views
-    if share_views is None:
-        # before the direction query, so a failed query still leaves it
-        _write_views(art, [input_view])
+    scene.write_input(art, input_view)
 
     # (1) direction query
     direction_turn = ChatTurn(
@@ -856,15 +846,7 @@ def run_pipeline(
             frames.extend(providers.generator.generate(input_view, spec))
         except MissingViewError as err:
             degradations.append(str(err))
-    if share_views is None:
-        _write_views(art, frames, trajectories)
-    elif art.enabled:
-        views = [input_view, *frames]
-        shared = share_views(
-            motion,
-            lambda d: _write_views(_Artifacts(d, providers.encode_png), views, trajectories),
-        )
-        art.json("views.json", {"dir": Path(os.path.relpath(shared, art.root)).as_posix()})
+    scene.write_views(art, motion, [input_view, *frames], trajectories)
 
     if mode != "mv_only" and len(frames) < 2:
         if degradations:
@@ -929,8 +911,7 @@ def run_pipeline(
             build_scene_sandbox,
             config, input_view, frames, hints, providers.segmenter, providers.up_axis,
         )
-        memo = providers.sandbox_memo
-        sandbox = build() if memo is None else memo((motion, tuple(hints)), build)
+        sandbox = scene.sandbox((config, motion, tuple(hints)), build)
         if sandbox.skipped:
             notes.append(f"elevation skipped {sandbox.skipped} (view, object) pairs")
         if sandbox.empty_error is not None and mode in ("full", "text_coords"):
@@ -1011,10 +992,6 @@ def _failed(config, mode, stage, err, degradations, notes, calls) -> PipelineRes
         vlm_calls=calls,
         error=stage,
     )
-
-
-def _config_dict(config: PipelineConfig) -> dict:
-    return dataclasses.asdict(config)
 
 
 def _result_dict(result: PipelineResult) -> dict:

@@ -161,6 +161,19 @@ def test_bundle_mask_binarization(tmp_path):
     np.testing.assert_array_equal(bundle.masks[(ViewId(-1, -1), 0)].bits, bits)
 
 
+def test_bundle_ppm_frame_is_a_named_format_error(tmp_path):
+    frame = _frame(ViewId(-1, -1), 0)
+
+    def to_ppm(m, root):
+        header = f"P6\n{frame.intrinsics.width} {frame.intrinsics.height}\n255\n".encode()
+        (root / "input.ppm").write_bytes(header + frame.image.tobytes())
+        m["views"][0]["image"] = "input.ppm"
+
+    root = _write_and_mangle(tmp_path, to_ppm)
+    with pytest.raises(BundleFormatError, match=r"views\[0\]\.image: input\.ppm: not a PNG"):
+        load_bundle(root)
+
+
 def test_bundle_no_input_view(tmp_path):
     root = tmp_path / "b"
     write_bundle(root, [_frame(ViewId(0, 0), 1)], scene_id="s")

@@ -12,11 +12,9 @@ from sandbox3d.image_io import (
     read_depth_raw,
     read_image,
     read_png,
-    read_ppm,
     write_depth_raw,
     write_image,
     write_png,
-    write_ppm,
 )
 
 
@@ -199,36 +197,12 @@ def test_png_decode_rejects_unsupported(tmp_path):
         read_png(path)
 
 
-def test_ppm_round_trip_with_comment(tmp_path):
-    rng = np.random.default_rng(2)
-    img = rng.integers(0, 256, size=(3, 4, 3), dtype=np.uint8)
-    path = tmp_path / "a.ppm"
-    write_ppm(path, img)
-    np.testing.assert_array_equal(read_ppm(path), img)
-    # hand-built file with a header comment
-    blob = b"P6\n# a comment\n2 1\n255\n" + bytes(range(6))
-    path.write_bytes(blob)
-    np.testing.assert_array_equal(read_ppm(path), np.arange(6, dtype=np.uint8).reshape(1, 2, 3))
-
-
-def test_ppm_rejects_wrong_magic_and_depth(tmp_path):
-    path = tmp_path / "bad.ppm"
-    path.write_bytes(b"P5\n1 1\n255\n\x00")
-    with pytest.raises(ValueError):
-        read_ppm(path)
-    path.write_bytes(b"P6\n1 1\n65535\n\x00\x00\x00")
-    with pytest.raises(ValueError):
-        read_ppm(path)
-
-
-def test_write_image_dispatches_on_extension(tmp_path):
+def test_write_image_writes_png_whatever_the_suffix(tmp_path):
     img = np.zeros((2, 2, 3), dtype=np.uint8)
-    write_image(tmp_path / "x.png", img)
-    write_image(tmp_path / "x.ppm", img)
-    assert (tmp_path / "x.png").read_bytes().startswith(b"\x89PNG")
-    assert (tmp_path / "x.ppm").read_bytes().startswith(b"P6")
-    np.testing.assert_array_equal(read_image(tmp_path / "x.png"), img)
-    np.testing.assert_array_equal(read_image(tmp_path / "x.ppm"), img)
+    for name in ("x.png", "x.ppm"):
+        write_image(tmp_path / name, img)
+        assert (tmp_path / name).read_bytes() == png_bytes(img)
+        np.testing.assert_array_equal(read_image(tmp_path / name), img)
 
 
 def test_depth_raw_round_trip(tmp_path):

@@ -21,6 +21,7 @@ from sandbox3d.pipeline import (
     PipelineConfig,
     ProviderSet,
     SceneCache,
+    SceneContext,
     _box_yaw_deg,
     compose_prompt,
     config_from_ini,
@@ -156,6 +157,21 @@ max_tokens = 128
 def test_config_unknown_section_rejected(tmp_path):
     with pytest.raises(ConfigError, match="unknown section"):
         config_from_ini(_write_ini(tmp_path, "[extras]\nfoo = 1\n"))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[DEFAULT]\neps = 0.3\n",
+        "[DEFAULT]\neps = 0.3\n[cluster]\n",
+        "[DEFAULT]\neps = 0.3\n[cluster]\n[pipeline]\n",
+    ],
+    ids=["alone", "with_cluster", "with_pipeline"],
+)
+def test_config_default_section_keys_rejected(tmp_path, text):
+    # configparser would hand [DEFAULT] keys to every section
+    with pytest.raises(ConfigError, match=r"unknown key 'eps' in \[DEFAULT\]"):
+        config_from_ini(_write_ini(tmp_path, text))
 
 
 def test_config_unknown_key_rejected(tmp_path):
@@ -793,9 +809,7 @@ def _eval_matches_standalone(tmp_path, cfg, records):
     assert report.failed == ()
     cache = SceneCache(cfg)
     for index, record in enumerate(records):
-        providers = dataclasses.replace(
-            cache.providers_for(record, index), sandbox_memo=None, shared_views=None
-        )
+        providers = dataclasses.replace(cache.providers_for(record, index), scene=SceneContext())
         alone = tmp_path / "alone" / record.qid
         run_pipeline(
             cfg, providers, record.question, record.choices, qid=record.qid, out_dir=alone
@@ -891,6 +905,33 @@ def test_bare_run_pipeline_renders_on_every_call(monkeypatch, sp):
         vlm = ScriptedVlm(["forward", _hint_reply(sp), _ANSWER_B])
         assert run_pipeline(_CFG, _providers(sp, vlm), QUESTION, CHOICES).answer == "B"
     assert len(renders) == 4
+
+
+def test_one_provider_set_shares_its_sandbox_between_questions(monkeypatch, sp):
+    renders = _count_calls(monkeypatch, "render_boxes")
+    providers = _providers(sp, ScriptedVlm(2 * ["forward", _hint_reply(sp), _ANSWER_B]))
+    for _ in range(2):
+        assert run_pipeline(_CFG, providers, QUESTION, CHOICES).answer == "B"
+    assert len(renders) == 2
+
+
+def test_one_provider_set_rebuilds_its_sandbox_for_another_config(monkeypatch, sp):
+    # the sandbox key holds the config, so proxy_render gets its own renders
+    # rather than full mode's boxes
+    points = []
+    _capture_returns(monkeypatch, "render_points", points.append)
+    vlm = ScriptedVlm(2 * ["forward", _hint_reply(sp), _ANSWER_B])
+    providers = _providers(sp, vlm)
+    for mode in ("full", "proxy_render"):
+        result = run_pipeline(dataclasses.replace(_CFG, mode=mode), providers, QUESTION, CHOICES)
+        assert (result.answer, result.mode_used) == ("B", mode)
+    assert len(points) == 2
+    parts = vlm.calls[-1][-1].parts
+    images = [p.image for p in parts if isinstance(p, ImagePart)]
+    assert len(images) == 3 and all(a is b.image for a, b in zip(images[1:], points))
+    assert "Step-back render of the filtered 3D proxy points:" in [
+        p.text for p in parts if isinstance(p, TextPart)
+    ]
 
 
 def _capture_returns(monkeypatch, name, keep):
@@ -1037,7 +1078,7 @@ def test_run_eval_evicts_a_failed_sandbox_build(monkeypatch, tmp_path):
 
 
 def test_scene_cache_sandbox_memo_builds_each_key_once_under_contention():
-    cache = SceneCache(PipelineConfig())
+    context = SceneContext()
     builds = []
     results = {}
 
@@ -1048,7 +1089,7 @@ def test_scene_cache_sandbox_memo_builds_each_key_once_under_contention():
 
     def one(i):
         key = ("forward", i % 3)
-        results[i] = (key, cache.sandbox("scene", key, lambda: build(key)))
+        results[i] = (key, context.sandbox(key, lambda: build(key)))
 
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -1140,8 +1181,8 @@ def test_run_eval_gives_each_motion_its_own_views(monkeypatch, tmp_path):
 def test_run_eval_does_not_cache_a_failed_view_write(monkeypatch, tmp_path):
     # record 0 picks `forward` and runs alone; records 1 and 2, the first two
     # siblings, both pick `left`. The first `left` depth write waits until
-    # both are in SceneCache.views, then fails; both records report the
-    # error and the next `left` record rewrites the directory.
+    # both are in SceneContext.write_views, then fails; both records report
+    # the error and the next `left` record rewrites the directory.
     monkeypatch.setattr(
         SceneCache,
         "_vlm_for",
@@ -1149,14 +1190,14 @@ def test_run_eval_does_not_cache_a_failed_view_write(monkeypatch, tmp_path):
     )
     arrived = []
     both = threading.Event()
-    real_views = SceneCache.views
+    real_views = SceneContext.write_views
 
-    def views(self, scene_dir, motion, write):
+    def views(self, art, motion, views, trajectories):
         if motion is AbstractMotion.LEFT:
             arrived.append(1)
             if len(arrived) == 2:
                 both.set()
-        return real_views(self, scene_dir, motion, write)
+        return real_views(self, art, motion, views, trajectories)
 
     writes = []
     real_write = pipeline.write_depth_raw
@@ -1170,7 +1211,7 @@ def test_run_eval_does_not_cache_a_failed_view_write(monkeypatch, tmp_path):
                 raise OSError("disk full")
         return real_write(path, values)
 
-    monkeypatch.setattr(SceneCache, "views", views)
+    monkeypatch.setattr(SceneContext, "write_views", views)
     monkeypatch.setattr(pipeline, "write_depth_raw", flaky_write)
     cfg = PipelineConfig(
         mode="mv_only", vlm="random_mock", parallelism=2, eval_artifacts=True

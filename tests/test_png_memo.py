@@ -19,7 +19,7 @@ import pytest
 from sandbox3d import image_io, pipeline, providers
 from sandbox3d.cli import main
 from sandbox3d.image_io import png_bytes, read_png
-from sandbox3d.pipeline import PipelineConfig, PngMemo, SceneCache, run_eval
+from sandbox3d.pipeline import PipelineConfig, PngMemo, SceneCache, SceneContext, run_eval
 from sandbox3d.providers import (
     DIRECTION_MARKER,
     HINTS_MARKER,
@@ -150,20 +150,27 @@ def test_run_eval_encodes_each_distinct_image_once(
 
 def test_run_eval_leaves_no_cycle_through_its_cache(monkeypatch, tmp_path, bundle, stub):
     refs = []
+    contexts = []
 
     class Watched(SceneCache):
         def __init__(self, config):
             super().__init__(config)
             refs.extend((weakref.ref(self), weakref.ref(self.png_memo)))
 
+    class WatchedContext(SceneContext):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            contexts.append(weakref.ref(self))
+
     monkeypatch.setattr(pipeline, "SceneCache", Watched)
+    monkeypatch.setattr(pipeline, "SceneContext", WatchedContext)
     cfg, path = _eval_setup(tmp_path, bundle, stub, parallelism=2)
     gc.collect()
     gc.disable()
     try:
-        assert run_eval(cfg, path).failed == ()
-        assert len(refs) == 2
-        assert [ref() for ref in refs] == [None, None]  # freed by refcount alone
+        assert run_eval(cfg, path, out_dir=tmp_path / "eval").failed == ()
+        assert len(refs) == 2 and len(contexts) == 1  # one scene
+        assert [ref() for ref in refs + contexts] == [None] * 3  # freed by refcount alone
     finally:
         gc.enable()
 
