@@ -69,7 +69,8 @@ def _pose_from_floats(values, context: str) -> CameraPose:
         raise BundleFormatError(f"{context}: {err}") from err
 
 
-def _pose_to_floats(pose: CameraPose) -> list[float]:
+def pose_to_floats(pose: CameraPose) -> list[float]:
+    """The row-major 4x4 camera-to-world matrix, as manifests store it."""
     m = np.eye(4)
     m[:3, :3] = pose.rotation
     m[:3, 3] = pose.translation
@@ -226,7 +227,7 @@ def write_bundle(
                     "cx": view.intrinsics.cx,
                     "cy": view.intrinsics.cy,
                 },
-                "pose": _pose_to_floats(view.pose),
+                "pose": pose_to_floats(view.pose),
                 "view_id": [view.view_id.trajectory, view.view_id.step],
             }
         )

@@ -26,22 +26,13 @@ from .errors import BundleFormatError, ConfigError, GenerationError, ProviderErr
 from .pipeline import (
     MODES,
     PipelineConfig,
-    ProviderSet,
     SceneContext,
+    bundle_providers,
     config_from_ini,
     run_eval,
     run_pipeline,
-    serialize_text_coords,
 )
-from .providers import (
-    BundleMultiViewGenerator,
-    BundleSegmenter,
-    HttpChatVlm,
-    RandomMockVlm,
-    StoredDepthEstimator,
-    SyntheticMultiViewGenerator,
-    SyntheticRig,
-)
+from .providers import HttpChatVlm, RandomMockVlm, SyntheticMultiViewGenerator, SyntheticRig
 from .qa import CATEGORIES, write_benchmark
 from .sandbox_render import (
     PerspectiveCamera,
@@ -90,15 +81,7 @@ def _cmd_run(args) -> int:
     config = _load_config(args.config, args.mode, args.vlm)
     bundle = load_bundle(args.bundle)
     scene = SceneContext()  # artifacts and requests share each image's encode
-    providers = ProviderSet(
-        input_view=bundle.input_view(),
-        generator=BundleMultiViewGenerator(bundle.frames_by_view()),
-        depth_estimator=StoredDepthEstimator(),
-        segmenter=BundleSegmenter(bundle.masks),
-        vlm=_vlm_from_config(config, scene.png_memo),
-        up_axis=bundle.up_axis,
-        scene=scene,
-    )
+    providers = bundle_providers(bundle, _vlm_from_config(config, scene.png_memo), scene)
     question, choices, qid = _read_question(args.question)
     result = run_pipeline(
         config, providers, question, choices,

@@ -1,33 +1,33 @@
 """End-to-end orchestration: views, proxies, boxes, prompts, and scoring.
 
-The pipeline runs ten stages: direction query, trajectory instantiation,
-multi-view generation, depth estimation, object-hint query, proxy
-elevation, consensus voting and box fitting, mode-dependent rendering or
-serialization, prompt composition, and the final answer query. Failures
-degrade instead of aborting: unusable hints or an empty box scene drop the
-run to multi-view-only context; missing bundle frames drop individual
-trajectories (and, below two usable views, all synthesized context); an
-unparseable answer scores as incorrect. Only a terminal provider failure
-marks the run failed.
+The pipeline runs nine stages: direction query, trajectory instantiation,
+multi-view generation, object-hint query, proxy elevation, consensus voting
+and box fitting, mode-dependent rendering or serialization, prompt
+composition, and the final answer query. Every view carries its own depth
+and camera. Failures degrade instead of aborting: unusable hints or an empty
+box scene drop the run to multi-view-only context; missing bundle frames
+drop individual trajectories (and, below two usable views, all synthesized
+context); an unparseable answer scores as incorrect. Only a terminal
+provider failure marks the run failed.
 
 Artifacts for every stage are written beneath an output directory and are
 deterministic byte-for-byte given the same config, seed, and scripted model
 replies.
 
 What the questions about one scene share lives in its `SceneContext`: stages
-6-8 (elevation, consensus, box fitting, then the mode's read-only renders and
+5-7 (elevation, consensus, box fitting, then the mode's read-only renders and
 coordinate text), built once per (config, motion, hints); one PNG encode per
 distinct image, whose bytes equal a fresh `png_bytes` call's; and, with a
 views directory, stages 1-3's view artifacts written once per motion. Hint
 and answer queries, degrade decisions, question-level artifacts and
 `pointcloud_render`'s dense cloud run for every question.
 
-`run_eval` keeps one context per scene spec (and views directory) and one
-`PngMemo` for all of them and its HTTP client, until it returns. With
-`eval_artifacts`, a scene's views go to `<out>/scenes/<n>/<motion>/`, `<n>`
-numbering the distinct scene specs in order of first appearance, and each
-`records/<id>/` gets a `views.json` pointer, `{"dir": "../../scenes/<n>/<motion>"}`;
-a record whose direction query fails has no motion and no pointer. A bare
+`run_eval` builds each scene spec's providers and context once (per views
+directory) and keeps them, with one `PngMemo` for all of them and its HTTP
+client, until it returns. With `eval_artifacts`, a scene's views go to
+`<out>/scenes/<n>/<motion>/`, `<n>` numbering the distinct scene specs in
+order of first appearance, and each `records/<id>/` gets a `views.json`
+pointer, `{"dir": "../../scenes/<n>/<motion>"}`; a record whose direction query fails has no motion and no pointer. A bare
 `run_pipeline` call shares only within its `ProviderSet`'s context, and
 writes the views into its own tree.
 
@@ -62,7 +62,7 @@ from typing import Callable
 
 import numpy as np
 
-from .bundle import SceneBundle, load_bundle
+from .bundle import SceneBundle, load_bundle, pose_to_floats
 from .errors import (
     AnswerParseError,
     ConfigError,
@@ -89,8 +89,10 @@ from .providers import (
     GeometryMockVlm,
     HttpChatVlm,
     ImagePart,
+    MultiViewGenerator,
     RandomMockVlm,
-    StoredDepthEstimator,
+    Segmenter,
+    SyntheticRig,
     SyntheticSceneProvider,
     TextPart,
     describe_turns,
@@ -237,7 +239,7 @@ def config_from_ini(path) -> PipelineConfig:
 
     Sections and keys come from the config dataclasses, and so do the
     defaults of keys the file leaves out."""
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)  # URLs may hold '%'
     text_path = Path(path)
     if not text_path.is_file():
         raise ConfigError(f"config file not found: {text_path}")
@@ -383,7 +385,7 @@ def compose_prompt(
 
 @dataclass(frozen=True)
 class SceneSandbox:
-    """Stages 6-8 for one scene, motion and hint list; shared by questions."""
+    """Stages 5-7 for one scene, motion and hint list; shared by questions."""
 
     scene: SandboxScene | None
     empty_error: str | None  # why fit_sandbox found no box, when it found none
@@ -443,7 +445,7 @@ class PngMemo:
 class SceneContext:
     """What the questions about one scene share.
 
-    `sandbox` builds stages 6-8 once per (config, motion, tuple(hints)) key.
+    `sandbox` builds stages 5-7 once per (config, motion, tuple(hints)) key.
     `png_memo` encodes every image artifact (and, in `run_eval` and
     `sandbox3d run`, every HTTP image part). `views_dir` picks the layout of
     stages 1-3's view artifacts: with None they go into each record's own
@@ -486,12 +488,23 @@ class ProviderSet:
     the context: give a copy with other scene providers a fresh one."""
 
     input_view: ViewFrame
-    generator: object
-    depth_estimator: object
-    segmenter: object
+    generator: MultiViewGenerator
+    segmenter: Segmenter
     vlm: ChatVLM
     up_axis: np.ndarray
     scene: SceneContext = field(default_factory=SceneContext)
+
+
+def bundle_providers(bundle: SceneBundle, vlm: ChatVLM, scene: SceneContext) -> ProviderSet:
+    """The stored frames and masks of a loaded bundle as providers."""
+    return ProviderSet(
+        input_view=bundle.input_view(),
+        generator=BundleMultiViewGenerator(bundle.frames_by_view()),
+        segmenter=BundleSegmenter(bundle.masks),
+        vlm=vlm,
+        up_axis=bundle.up_axis,
+        scene=scene,
+    )
 
 
 def _bounds_from_scene(scene: dict) -> WorldBounds:
@@ -505,30 +518,17 @@ def _bounds_from_scene(scene: dict) -> WorldBounds:
 
 
 class SceneCache:
-    """Scene-side state shared across an eval's records: worlds, bundles and
-    one `SceneContext` per (scene, views directory), all holding the eval's
-    `PngMemo`."""
+    """Scene-side state shared across an eval's records: one entry per
+    (scene, views directory), made once, holding the scene's `ProviderSet`
+    less its VLM, with a `SceneContext` on the eval's `PngMemo`, and the rig
+    the geometry mock reads (None for a bundle)."""
 
     def __init__(self, config: PipelineConfig):
         self.config = config
         self.png_memo = PngMemo()
         self._lock = threading.Lock()
-        self._synthetic = _Once()
-        self._bundles = _Once()
-        self._contexts = _Once()
+        self._scenes = _Once()
         self._http_vlm: HttpChatVlm | None = None
-
-    def synthetic_provider(self, key: tuple) -> SyntheticSceneProvider:
-        """The world for a (seed, objects, bounds) key, generated once."""
-        return self._synthetic.get(key, lambda: SyntheticSceneProvider(generate_world(*key)))
-
-    def bundle(self, path: str) -> SceneBundle:
-        return self._bundles.get(path, lambda: load_bundle(path))
-
-    def context(self, scene_key, views_dir: Path | None) -> SceneContext:
-        return self._contexts.get(
-            (scene_key, views_dir), lambda: SceneContext(views_dir, self.png_memo)
-        )
 
     def _shared_http_vlm(self) -> HttpChatVlm:
         # The client holds the memo itself, never this cache: a reference
@@ -551,40 +551,34 @@ class SceneCache:
         kind = spec.get("kind")
         if kind == "synthetic":
             key = (int(spec["seed"]), int(spec["objects"]), _bounds_from_scene(spec))
-            sp = self.synthetic_provider(key)
-            return ProviderSet(
-                input_view=sp.input_view(),
-                generator=sp.generator,
-                depth_estimator=sp.depth_estimator,
-                segmenter=sp.segmenter,
-                vlm=self._vlm_for(record, index, sp),
-                up_axis=sp.world.up_axis,
-                scene=self.context(key, views_dir),
-            )
-        if kind == "bundle":
-            path = str(spec["path"])
-            bundle = self.bundle(path)
-            return ProviderSet(
-                input_view=bundle.input_view(),
-                generator=BundleMultiViewGenerator(bundle.frames_by_view()),
-                depth_estimator=StoredDepthEstimator(),
-                segmenter=BundleSegmenter(bundle.masks),
-                vlm=self._vlm_for(record, index, None),
-                up_axis=bundle.up_axis,
-                scene=self.context(path, views_dir),
-            )
-        raise ConfigError(f"record {record.qid}: unknown scene kind {kind!r}")
+        elif kind == "bundle":
+            key = str(spec["path"])
+        else:
+            raise ConfigError(f"record {record.qid}: unknown scene kind {kind!r}")
 
-    def _vlm_for(self, record: QARecord, index: int, sp: SyntheticSceneProvider | None):
+        def load():
+            scene = SceneContext(views_dir, self.png_memo)
+            if kind == "bundle":
+                return bundle_providers(load_bundle(key), None, scene), None
+            sp = SyntheticSceneProvider(generate_world(*key))
+            providers = ProviderSet(
+                sp.input_view(), sp.generator, sp.segmenter, None, sp.world.up_axis, scene
+            )
+            return providers, sp.rig
+
+        providers, rig = self._scenes.get((key, views_dir), load)
+        return dataclasses.replace(providers, vlm=self._vlm_for(record, index, rig))
+
+    def _vlm_for(self, record: QARecord, index: int, rig: SyntheticRig | None):
         kind = self.config.vlm
         if kind == "http":
             return self._shared_http_vlm()
         if kind == "random_mock":
             return RandomMockVlm(seed=self.config.seed + index)
         if kind == "geometry_mock":
-            if sp is None:
+            if rig is None:
                 raise ConfigError("geometry_mock requires synthetic scenes")
-            return GeometryMockVlm(sp.rig, record.payload or None)
+            return GeometryMockVlm(rig, record.payload or None)
         raise ConfigError(f"unknown vlm provider {kind!r}")
 
 
@@ -651,13 +645,6 @@ class _Artifacts:
         write_depth_raw(path, values)
 
 
-def _pose_floats(pose: CameraPose) -> list[float]:
-    m = np.eye(4)
-    m[:3, :3] = pose.rotation
-    m[:3, 3] = pose.translation
-    return [float(x) for x in m.reshape(-1)]
-
-
 def _write_views(art: _Artifacts, frames, trajectories=None) -> None:
     """Stages 1-3's artifacts: `views/<tag>.{png,f32}` for each frame (the
     input view's tag is `input`) and, when given, `trajectories.json`."""
@@ -670,7 +657,7 @@ def _write_views(art: _Artifacts, frames, trajectories=None) -> None:
                 {
                     "m": spec.trajectory_index,
                     "heading_deg": spec.heading_deg,
-                    "poses": [_pose_floats(p) for p in spec.poses],
+                    "poses": [pose_to_floats(p) for p in spec.poses],
                 }
                 for spec in trajectories
             ],
@@ -732,7 +719,7 @@ def build_scene_sandbox(
     segmenter,
     up_axis: np.ndarray,
 ) -> SceneSandbox:
-    """Stages 6-8: proxy elevation over the input view plus every synthesized
+    """Stages 5-7: proxy elevation over the input view plus every synthesized
     view, consensus voting once per label, clustering and box fitting, then
     `config.mode`'s renders and the coordinate text.
 
@@ -773,7 +760,7 @@ def build_scene_sandbox(
         for label, cloud in sorted(kept.items())
     )
 
-    # (8) the mode's context, read-only because every question shares it
+    # (7) the mode's context, read-only because every question shares it
     renders: tuple[RenderedView, ...] = ()
     coords_text = None
     if scene is not None:
@@ -801,7 +788,7 @@ def run_pipeline(
     qid: str = "scene",
     out_dir=None,
 ) -> PipelineResult:
-    """Run the ten pipeline stages for one question against one scene."""
+    """Run the nine pipeline stages for one question against one scene."""
     scene = providers.scene
     art = _Artifacts(out_dir, scene.png_memo)
     if art.enabled:
@@ -855,20 +842,13 @@ def run_pipeline(
             frames = []
         # With no degradations this means M*T < 2 by configuration; proceed.
 
-    # (4) depth estimation (stored or analytic providers return exact values)
-    estimates = providers.depth_estimator.estimate(frames)
-    frames = [
-        ViewFrame(f.image, est.depth, est.intrinsics, est.pose, f.view_id)
-        for f, est in zip(frames, estimates)
-    ]
-
     hints: list[ObjectHint] = []
     renders: tuple[RenderedView, ...] = ()
     coords_text = None
 
     needs_hints = mode in ("full", "text_coords", "proxy_render")
     if needs_hints:
-        # (5) object-hint query on the original view
+        # (4) object-hint query on the original view
         hints_turn = ChatTurn(
             "user",
             (
@@ -906,7 +886,7 @@ def run_pipeline(
             needs_hints = False
 
     if needs_hints:
-        # (6)-(8) proxy elevation, consensus voting, box fitting, mode context
+        # (5)-(7) proxy elevation, consensus voting, box fitting, mode context
         build = partial(
             build_scene_sandbox,
             config, input_view, frames, hints, providers.segmenter, providers.up_axis,
@@ -928,7 +908,7 @@ def run_pipeline(
             art.text("sandbox.json", sandbox.coords_text)
         renders, coords_text = sandbox.renders, sandbox.coords_text
     elif mode == "pointcloud_render":
-        # (8) depth-lifted cloud of the input and synthesized views
+        # (7) depth-lifted cloud of the input and synthesized views
         dense, labels = _dense_cloud([input_view, *frames], config.pointcloud_stride)
         if len(dense) == 0:
             degradations.append("depth maps produced no valid points")
@@ -938,7 +918,7 @@ def run_pipeline(
     for suffix, render in zip(("stepback", "topdown"), renders):
         art.image(f"{_safe(qid)}_{suffix}.png", render.image)
 
-    # (9) final prompt
+    # (8) final prompt
     turns = compose_prompt(
         question,
         choices,
@@ -951,7 +931,7 @@ def run_pipeline(
     if art.enabled:
         art.text("prompt.txt", describe_turns(turns))
 
-    # (10) answer
+    # (9) answer
     try:
         answer_raw = vlm.complete(turns, config.decode)
     except ProviderError as err:
@@ -1040,7 +1020,7 @@ class RunReport:
 def run_eval(config: PipelineConfig, benchmark_path, out_dir=None) -> RunReport:
     """Score every benchmark record; single-record failures never abort.
 
-    Each scene's sandbox and prompt context (stages 6-8) is built once per
+    Each scene's sandbox and prompt context (stages 5-7) is built once per
     (motion, hints) and shared by the questions that ask for it until
     run_eval returns, each distinct image is encoded as PNG once per eval,
     and with `eval_artifacts` each scene's views are written once per motion.

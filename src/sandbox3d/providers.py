@@ -1,10 +1,11 @@
-"""Uniform interfaces for the four external models, plus local stand-ins.
+"""Uniform interfaces for the three external models, plus local stand-ins.
 
-The pipeline consumes four providers: a multi-view generator, a depth
-estimator, a segmenter, and a chat VLM. Implementations here cover the
-desk-scale cases: analytic (synthetic world), precomputed (scene bundle on
-disk), scripted and geometry-reading mocks for tests, and an HTTP client
-speaking the OpenAI-compatible chat-completions protocol for real VLMs.
+The pipeline consumes three providers: a multi-view generator, a segmenter,
+and a chat VLM; every view carries its own depth and camera. Implementations
+here cover the desk-scale cases: analytic (synthetic world), precomputed
+(scene bundle on disk), scripted and geometry-reading mocks for tests, and
+an HTTP client speaking the OpenAI-compatible chat-completions protocol for
+real VLMs.
 
 All providers are safe for concurrent calls; the HTTP client additionally
 caps in-flight requests per instance.
@@ -43,7 +44,6 @@ from .qa import LETTERS, evaluate_question
 from .sandbox_render import PALETTE
 from .scene_model import (
     INPUT_VIEW,
-    CameraIntrinsics,
     CameraPose,
     DepthGrid,
     InstanceMask,
@@ -114,13 +114,6 @@ class DecodeParams:
     max_tokens: int = 1024
 
 
-@dataclass(frozen=True)
-class CameraEstimate:
-    depth: DepthGrid
-    intrinsics: CameraIntrinsics
-    pose: CameraPose
-
-
 # ── Provider protocols ─────────────────────────────────────────────────────
 
 
@@ -130,27 +123,12 @@ class MultiViewGenerator(Protocol):
         ...
 
 
-class DepthEstimator(Protocol):
-    def estimate(self, frames: Sequence[ViewFrame]) -> list[CameraEstimate]: ...
-
-
 class Segmenter(Protocol):
     def segment(self, frame: ViewFrame, hint: ObjectHint) -> InstanceMask: ...
 
 
 class ChatVLM(Protocol):
     def complete(self, turns: Sequence[ChatTurn], params: DecodeParams) -> str: ...
-
-
-class StoredDepthEstimator:
-    """Returns the depth and camera already carried by each frame.
-
-    Covers both the synthetic and bundle cases, where depth is exact or
-    precomputed; a real estimator adapter would replace this.
-    """
-
-    def estimate(self, frames: Sequence[ViewFrame]) -> list[CameraEstimate]:
-        return [CameraEstimate(f.depth, f.intrinsics, f.pose) for f in frames]
 
 
 # ── Synthetic (analytic) providers ─────────────────────────────────────────
@@ -261,7 +239,6 @@ class SyntheticSceneProvider:
         self.rig = SyntheticRig(world)
         self.generator = SyntheticMultiViewGenerator(self.rig)
         self.segmenter = SyntheticSegmenter(self.rig)
-        self.depth_estimator = StoredDepthEstimator()
 
     def input_view(self) -> ViewFrame:
         return self.rig.input_frame()

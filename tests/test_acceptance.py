@@ -445,7 +445,6 @@ def _scripted_run(out_dir):
     providers = ProviderSet(
         input_view=sp.input_view(),
         generator=sp.generator,
-        depth_estimator=sp.depth_estimator,
         segmenter=sp.segmenter,
         vlm=vlm,
         up_axis=sp.world.up_axis,

@@ -224,6 +224,15 @@ def test_eval_bad_config_file_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_eval_config_with_percent_in_url_runs(tmp_path, capsys):
+    bundle = _synth(tmp_path, questions=1)
+    ini = tmp_path / "url.ini"
+    ini.write_text("[pipeline]\nbase_url = http://x/a%20b\nmode = mv_only\n", encoding="utf-8")
+    argv = ["eval", "--benchmark", str(bundle / "questions.jsonl"), "--vlm", "random_mock"]
+    assert main([*argv, "--config", str(ini)]) == 0
+    assert "n: 1" in capsys.readouterr().out
+
+
 def test_render_topdown_and_stepback(tmp_path, capsys):
     sandbox = tmp_path / "sandbox.json"
     sandbox.write_text(

@@ -190,6 +190,12 @@ def test_config_invalid_param_combination_wrapped(tmp_path):
         config_from_ini(_write_ini(tmp_path, "[consensus]\ndelta = -1\n"))
 
 
+def test_config_values_keep_percent_signs(tmp_path):
+    # URLs carry %-escapes; configparser's interpolation would reject them
+    cfg = config_from_ini(_write_ini(tmp_path, "[pipeline]\nbase_url = http://x/a%20b\n"))
+    assert cfg.base_url == "http://x/a%20b"
+
+
 def test_config_missing_file(tmp_path):
     with pytest.raises(ConfigError, match="not found"):
         config_from_ini(tmp_path / "nope.ini")
@@ -374,7 +380,6 @@ def _providers(sp, vlm, generator=None):
     return ProviderSet(
         input_view=sp.input_view(),
         generator=sp.generator if generator is None else generator,
-        depth_estimator=sp.depth_estimator,
         segmenter=sp.segmenter,
         vlm=vlm,
         up_axis=sp.world.up_axis,
@@ -720,6 +725,30 @@ def test_run_eval_writes_per_record_artifacts(tmp_path):
     assert (out / "report.json").is_file() and (out / "report.csv").is_file()
 
 
+def _bundle_record(path, qid="b0"):
+    return QARecord(
+        qid=qid,
+        scene={"kind": "bundle", "path": str(path)},
+        question=QUESTION,
+        choices=CHOICES,
+        gold="A",
+        category="EgoM",
+    )
+
+
+class _StubBundle:
+    """What `bundle_providers` reads of a loaded bundle."""
+
+    masks: dict = {}
+    up_axis = _UP
+
+    def input_view(self):
+        return None
+
+    def frames_by_view(self):
+        return {}
+
+
 def test_scene_cache_loads_a_raced_bundle_once(monkeypatch):
     # each load waits for a second concurrent load (or 0.5 s), so two
     # threads that both miss the cache would both load
@@ -733,17 +762,17 @@ def test_scene_cache_loads_a_raced_bundle_once(monkeypatch):
         second[path].wait(timeout=0.5)
         if path == "broken":
             raise BundleFormatError(f"{path}: unreadable")
-        return object()
+        return _StubBundle()
 
     monkeypatch.setattr(pipeline, "load_bundle", slow_load)
-    cache = SceneCache(PipelineConfig())
+    cache = SceneCache(PipelineConfig(vlm="random_mock"))
 
     def race(path):
         got = [None, None]
 
         def one(i):
             try:
-                got[i] = cache.bundle(path)
+                got[i] = cache.providers_for(_bundle_record(path), i).generator
             except BundleFormatError as err:
                 got[i] = err
 
@@ -758,15 +787,31 @@ def test_scene_cache_loads_a_raced_bundle_once(monkeypatch):
     first, second_got = race("scene")
     assert loads == ["scene"]
     assert first is second_got and first is not None
-    assert cache.bundle("scene") is first
+    assert cache.providers_for(_bundle_record("scene"), 2).generator is first
 
     # a failed load raises in every waiter and is not cached
     errors = race("broken")
     assert loads == ["scene", "broken"]
     assert all(isinstance(e, BundleFormatError) for e in errors)
     with pytest.raises(BundleFormatError):
-        cache.bundle("broken")
+        cache.providers_for(_bundle_record("broken"), 2)
     assert loads == ["scene", "broken", "broken"]
+
+
+@pytest.mark.parametrize("kind", ["synthetic", "bundle"])
+def test_scene_cache_builds_a_scenes_providers_once(tmp_path, sp, kind):
+    records = _one_scene(2)
+    if kind == "bundle":
+        write_bundle(tmp_path / "scene", [sp.input_view()], {})
+        records = [_bundle_record(tmp_path / "scene", qid=r.qid) for r in records]
+    cache = SceneCache(PipelineConfig(vlm="random_mock"))
+    first, second = (cache.providers_for(r, i) for i, r in enumerate(records))
+    assert first.generator is second.generator
+    assert first.segmenter is second.segmenter
+    assert first.scene is second.scene
+    assert first.vlm is not second.vlm  # the VLM stays per record
+    other = cache.providers_for(records[0], 0, views_dir=tmp_path / "views")
+    assert other.scene is not first.scene and other.scene.views_dir == tmp_path / "views"
 
 
 # ── Scene sandbox memo ─────────────────────────────────────────────────────

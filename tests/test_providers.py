@@ -22,7 +22,6 @@ from sandbox3d.providers import (
     ImagePart,
     RandomMockVlm,
     ScriptedVlm,
-    StoredDepthEstimator,
     SyntheticMultiViewGenerator,
     SyntheticRig,
     SyntheticSceneProvider,
@@ -272,15 +271,6 @@ def test_synthetic_segmenter_background_hint_raises():
     provider = SyntheticSceneProvider(world)
     with pytest.raises(ObjectNotFoundError):
         provider.segmenter.segment(provider.input_view(), ObjectHint("ghost", (2, 2), 0))
-
-
-def test_stored_depth_estimator_passthrough():
-    world = generate_world(5, 1)
-    provider = SyntheticSceneProvider(world)
-    frame = provider.input_view()
-    est = StoredDepthEstimator().estimate([frame])[0]
-    assert est.depth is frame.depth
-    assert est.pose is frame.pose
 
 
 # ── bundle providers ───────────────────────────────────────────────────────
