@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import BundleFormatError
-from .image_io import read_depth_raw, read_image, write_depth_raw, write_image
+from .image_io import freeze, read_depth_raw, read_image, write_depth_raw, write_image
 from .scene_model import (
     CameraIntrinsics,
     CameraPose,
@@ -149,6 +149,7 @@ def load_bundle(path) -> SceneBundle:
                 f"{ctx}.image: size {image.shape[1]}x{image.shape[0]} does not match "
                 f"{intrinsics.width}x{intrinsics.height}"
             )
+        freeze(image)  # every question about the scene shares it
         depth_path = root / _require(spec, "depth", ctx)
         if not depth_path.is_file():
             raise BundleFormatError(f"{ctx}.depth: file not found: {depth_path.name}")

@@ -5,11 +5,18 @@ greyscale or RGB, no interlace. The encoder always emits filter type 0, which
 keeps output bytes a pure function of the pixels; the decoder additionally
 understands filters 1-4 so externally produced files load too. Depth grids
 are stored headerless as row-major little-endian float32.
+
+`freeze` and `image_digest` give shared images one pixel digest each: the
+code that creates an image the scene owns freezes it, and every consumer
+that keys or names an image by its pixels (the PNG memo, the prompt
+transcript) asks `image_digest`, which hashes a frozen image once.
 """
 
 from __future__ import annotations
 
+import hashlib
 import struct
+import weakref
 import zlib
 from pathlib import Path
 
@@ -70,7 +77,8 @@ def _unfilter(data: bytes, w: int, h: int, channels: int) -> np.ndarray:
     rows = np.frombuffer(data, dtype=np.uint8, count=h * (1 + stride)).reshape(h, 1 + stride)
     if not rows[:, 0].any():  # filter type 0 throughout, as png_bytes writes
         return rows[:, 1:].reshape(h, w, channels).copy()
-    out = np.zeros((h, stride), dtype=np.uint8)
+    out = np.zeros((h, w, channels), dtype=np.uint8)  # owns its data, so it can be frozen
+    out_rows = out.reshape(h, stride)
     prev = np.zeros(stride, dtype=np.int32)
     for row in range(h):
         ftype = int(rows[row, 0])
@@ -96,9 +104,9 @@ def _unfilter(data: bytes, w: int, h: int, channels: int) -> np.ndarray:
                 recon[x] = (recon[x] + _paeth(int(left), int(prev[x]), int(ul))) % 256
         else:
             raise ValueError(f"unsupported PNG filter {ftype}")
-        out[row] = recon.astype(np.uint8)
+        out_rows[row] = recon.astype(np.uint8)
         prev = recon
-    return out.reshape(h, w, channels)
+    return out
 
 
 def read_png(path) -> np.ndarray:
@@ -163,3 +171,61 @@ def read_depth_raw(path, width: int, height: int) -> np.ndarray:
             f"depth length: {Path(path).name} has {len(blob)} bytes, expected {expect}"
         )
     return np.frombuffer(blob, dtype="<f4").reshape(height, width).astype(np.float32)
+
+
+# ── Pixel digests ──────────────────────────────────────────────────────────
+
+
+class _Frozen:
+    """A frozen image's weak reference and, after its first use, its digest."""
+
+    __slots__ = ("ref", "digest")
+
+    def __init__(self, image: np.ndarray):
+        self.ref = weakref.ref(image)
+        self.digest: bytes | None = None
+
+
+# id(image) -> _Frozen for every live frozen image. A finalizer removes the
+# entry while the image is being freed, before its id can be reused. Single
+# dict operations are atomic, so no lock is taken (a lock held by a thread
+# that the garbage collector interrupts to run `_forget` would deadlock).
+_frozen: dict[int, _Frozen] = {}
+
+
+def _forget(key: int) -> None:
+    _frozen.pop(key, None)
+
+
+def freeze(image: np.ndarray) -> np.ndarray:
+    """Make `image` read-only and let `image_digest` hash it once; returns it.
+
+    Only the code that creates the array may call this, right after creating
+    it: a read-only array can still change through a writable view made
+    earlier, and only its creator knows that none exists. An array that does
+    not own its data (a view) raises ValueError, because its base may be
+    written through."""
+    if not isinstance(image, np.ndarray) or not image.flags.owndata:
+        raise ValueError("freeze needs an array that owns its data, not a view")
+    image.flags.writeable = False
+    entry = _frozen.get(id(image))
+    if entry is not None and entry.ref() is image:
+        entry.digest = None  # it may have been writable since its last freeze
+    else:
+        _frozen[id(image)] = _Frozen(image)
+        weakref.finalize(image, _forget, id(image)).atexit = False
+    return image
+
+
+def image_digest(image: np.ndarray) -> bytes:
+    """sha256 of the C-contiguous pixels: the digest of `image.tobytes()`.
+
+    A frozen image is hashed on its first call, and the digest is reused while
+    it lives. Every other array (writable, a read-only view, or made
+    read-only without `freeze`) is hashed on every call."""
+    entry = _frozen.get(id(image))
+    if entry is None or entry.ref() is not image or image.flags.writeable:
+        return hashlib.sha256(np.ascontiguousarray(image)).digest()
+    if entry.digest is None:  # racing first callers compute the same value
+        entry.digest = hashlib.sha256(np.ascontiguousarray(image)).digest()
+    return entry.digest

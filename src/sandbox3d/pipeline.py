@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
-import hashlib
 import json
 import math
 import os
@@ -75,6 +74,8 @@ from .errors import (
     ProviderError,
 )
 from .image_io import (
+    freeze,
+    image_digest,
     png_bytes,
     write_depth_raw,
     write_image,  # noqa: F401  perfbench's tracer pins this module's binding
@@ -426,18 +427,20 @@ class _Once:
 class PngMemo:
     """`png_bytes` that encodes each distinct image once.
 
-    The key is the image's shape, dtype and the sha256 of its C-contiguous
-    pixels, and `png_bytes` is a pure function of those, so a hit returns the
-    bytes a fresh encode would. Concurrent callers for one image share a
-    single encode; a failed encode is not cached. Entries live as long as the
-    memo: each is the compressed form of pixels its callers already hold."""
+    The key is the image's shape, dtype and `image_digest` (the sha256 of its
+    C-contiguous pixels), and `png_bytes` is a pure function of those, so a
+    hit returns the bytes a fresh encode would. A frozen image is hashed once
+    however often it is sent; any other array is hashed on every call.
+    Concurrent callers for one image share a single encode; a failed encode
+    is not cached. Entries live as long as the memo: each is the compressed
+    form of pixels its callers already hold."""
 
     def __init__(self):
         self._encoded = _Once()
 
     def __call__(self, image: np.ndarray) -> bytes:
-        img = np.ascontiguousarray(image)
-        key = (img.shape, img.dtype.str, hashlib.sha256(img).digest())
+        img = np.asarray(image)
+        key = (img.shape, img.dtype.str, image_digest(img))
         return self._encoded.get(key, lambda: png_bytes(img))
 
 
@@ -447,7 +450,10 @@ class SceneContext:
 
     `sandbox` builds stages 5-7 once per (config, motion, tuple(hints)) key.
     `png_memo` encodes every image artifact (and, in `run_eval` and
-    `sandbox3d run`, every HTTP image part). `views_dir` picks the layout of
+    `sandbox3d run`, every HTTP image part). The images the scene owns (rig
+    views, bundle frames and the sandbox renders) are frozen where they are
+    made, so the memo and the prompt transcript hash each one once for all
+    the scene's questions. `views_dir` picks the layout of
     stages 1-3's view artifacts: with None they go into each record's own
     tree, the input view before the direction query; with a directory they
     are written once per motion into `views_dir/<motion>`, and each record
@@ -776,7 +782,7 @@ def build_scene_sandbox(
             labels = {h.object_id: h.label for h in hints}
             renders = _point_renders(merged, labels, config, input_view, up_axis)
     for render in renders:
-        render.image.flags.writeable = False
+        freeze(render.image)
     return SceneSandbox(scene, empty_error, counts, skipped, renders, coords_text)
 
 

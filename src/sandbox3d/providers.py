@@ -14,7 +14,6 @@ caps in-flight requests per instance.
 from __future__ import annotations
 
 import base64
-import hashlib
 import http.client
 import json
 import math
@@ -38,7 +37,7 @@ from .errors import (
     ObjectNotFoundError,
     ProviderError,
 )
-from .image_io import png_bytes
+from .image_io import freeze, image_digest, png_bytes
 from .proxy_elevation import ObjectHint
 from .qa import LETTERS, evaluate_question
 from .sandbox_render import PALETTE
@@ -170,8 +169,7 @@ class SyntheticRig:
         if hit is not None:
             return hit
         depth, nearest = nearest_from_stack(self.stack(pose))
-        image = self._colors.take(nearest, axis=0)
-        image.flags.writeable = False
+        image = freeze(self._colors.take(nearest, axis=0))
         nearest.flags.writeable = False
         view = _RigView(image, DepthGrid(depth), nearest)
         with self._lock:
@@ -744,7 +742,11 @@ def parse_answer(raw_text: str, choices: Sequence[str]) -> tuple[str, str | None
 
 
 def describe_turns(turns: Sequence[ChatTurn]) -> str:
-    """Stable textual transcript of a prompt; images appear as size + digest."""
+    """Stable textual transcript of a prompt; images appear as size + digest.
+
+    The digest is the first 16 hex digits of `image_digest`, the sha256 of
+    the image's C-contiguous pixels, so a frozen scene image is hashed once
+    however many prompts show it."""
     lines = []
     for turn in turns:
         lines.append(f"=== {turn.role} ===")
@@ -753,6 +755,6 @@ def describe_turns(turns: Sequence[ChatTurn]) -> str:
                 lines.append(part.text)
             else:
                 h, w = part.image.shape[:2]
-                digest = hashlib.sha256(part.image.tobytes()).hexdigest()[:16]
+                digest = image_digest(part.image).hex()[:16]
                 lines.append(f"[image {w}x{h} sha256={digest}]")
     return "\n".join(lines) + "\n"

@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 import json
+import struct
+import zlib
 
 import numpy as np
 import pytest
 
 from sandbox3d import BundleFormatError
 from sandbox3d.bundle import load_bundle, write_bundle
+from sandbox3d.image_io import png_bytes
 from sandbox3d.scene_model import (
     CameraIntrinsics,
     CameraPose,
@@ -64,6 +67,33 @@ def test_bundle_round_trip(tmp_path):
     assert bundle.masks[(ViewId(0, 0), 0)].label == "chair"
     assert bundle.input_view().view_id == ViewId(-1, -1)
     np.testing.assert_array_equal(bundle.up_axis, [0.0, -1.0, 0.0])
+
+
+def _up_filtered_png(image: np.ndarray) -> bytes:
+    """The pixels of png_bytes(image), with every scanline Up-filtered."""
+    h = image.shape[0]
+    rows = image.reshape(h, -1).astype(np.int16)
+    up = np.diff(rows, axis=0, prepend=0) % 256
+    raw = np.hstack([np.full((h, 1), 2), up]).astype(np.uint8).tobytes()
+    idat = zlib.compress(raw)
+    crc = struct.pack(">I", zlib.crc32(b"IDAT" + idat))
+    chunk = struct.pack(">I", len(idat)) + b"IDAT" + idat + crc
+    plain = png_bytes(image)
+    return plain[:33] + chunk + plain[-12:]  # signature and IHDR, then IEND
+
+
+def test_bundle_frames_are_read_only(tmp_path):
+    views = [_frame(ViewId(-1, -1), 0), _frame(ViewId(0, 0), 1)]
+    write_bundle(tmp_path / "b", views, {})
+    # an externally written frame whose rows are filtered decodes the same
+    frame_path = tmp_path / "b" / "m0t0.png"
+    assert frame_path.is_file()
+    frame_path.write_bytes(_up_filtered_png(views[1].image))
+    bundle = load_bundle(tmp_path / "b")
+    for view, back in zip(views, bundle.views):
+        np.testing.assert_array_equal(back.image, view.image)
+        with pytest.raises(ValueError, match="read-only"):
+            back.image[0, 0, 0] = 1
 
 
 def test_bundle_write_deterministic(tmp_path):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import struct
 import zlib
 
@@ -8,6 +9,8 @@ import pytest
 
 from sandbox3d import BundleFormatError
 from sandbox3d.image_io import (
+    freeze,
+    image_digest,
     png_bytes,
     read_depth_raw,
     read_image,
@@ -122,6 +125,16 @@ def test_png_decode_mixed_filter_rows(tmp_path):
     np.testing.assert_array_equal(read_png(path), img)
 
 
+def test_png_decode_of_filtered_rows_owns_its_pixels(tmp_path):
+    # load_bundle freezes the frames it decodes, which needs an owning array
+    path = tmp_path / "up.png"
+    path.write_bytes(_png_blob(2, 2, 2, [(0, bytes(range(6))), (2, bytes(6))]))
+    img = read_png(path)
+    np.testing.assert_array_equal(img, [[[0, 1, 2], [3, 4, 5]]] * 2)
+    assert img.flags.owndata
+    assert freeze(img) is img and not img.flags.writeable
+
+
 def test_png_decode_rejects_truncated_stream(tmp_path):
     # a complete zlib stream one byte short of its last scanline, with
     # every filter byte 0 and with a filter 2 row
@@ -219,3 +232,28 @@ def test_depth_raw_length_mismatch(tmp_path):
     path.write_bytes(b"\x00" * 10)
     with pytest.raises(BundleFormatError, match="depth length"):
         read_depth_raw(path, 2, 2)
+
+
+def test_image_digest_is_the_sha256_of_the_c_order_pixels_for_any_layout():
+    rng = np.random.default_rng(3)
+    base = rng.integers(0, 256, size=(9, 12, 3), dtype=np.uint8)
+    layouts = {
+        "strided": base[::2, ::3],
+        "flipped": base[::-1, :, ::-1],
+        "fortran": np.asfortranarray(base),
+        "frozen fortran": freeze(np.asfortranarray(base)),
+    }
+    for name, image in layouts.items():
+        expected = hashlib.sha256(image.tobytes()).hexdigest()
+        for _ in range(2):  # a frozen image's second call reads its kept digest
+            assert image_digest(image).hex() == expected, name
+            assert image_digest(image).hex()[:16] == expected[:16], name
+
+
+def test_refreezing_a_changed_image_hashes_it_again():
+    image = freeze(np.zeros((2, 3, 3), dtype=np.uint8))
+    first = image_digest(image)
+    image.flags.writeable = True
+    image[0, 0] = 7
+    assert freeze(image) is image and not image.flags.writeable
+    assert image_digest(image) == hashlib.sha256(image.tobytes()).digest() != first

@@ -52,3 +52,26 @@ def test_src_has_no_unused_imports():
         if (found := _unused_imports(p.read_text(encoding="utf-8")))
     }
     assert unused == {}
+
+
+def _imported_modules(source: str) -> set[str]:
+    """Top-level names of the modules a source imports from or imports."""
+    modules = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module and node.level == 0:
+            modules.add(node.module.split(".")[0])
+    return modules
+
+
+def test_only_image_io_hashes_pixels():
+    # every pixel digest goes through image_io.image_digest, which hashes a
+    # frozen image once; a second hashing site would hash it again
+    assert _imported_modules("import hashlib as h\nfrom os import path\n") == {"hashlib", "os"}
+    importers = sorted(
+        p.name
+        for p in SRC.glob("*.py")
+        if "hashlib" in _imported_modules(p.read_text(encoding="utf-8"))
+    )
+    assert importers == ["image_io.py"]

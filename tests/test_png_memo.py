@@ -1,5 +1,6 @@
 """PngMemo: each distinct image is PNG-encoded once per eval or `run`, shared
-between the artifact writer and the HTTP client, with byte-identical output."""
+between the artifact writer and the HTTP client, with byte-identical output;
+a frozen scene image is hashed once however often it is sent or described."""
 
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ import pytest
 
 from sandbox3d import image_io, pipeline, providers
 from sandbox3d.cli import main
-from sandbox3d.image_io import png_bytes, read_png
+from sandbox3d.image_io import freeze, image_digest, png_bytes, read_png
 from sandbox3d.pipeline import PipelineConfig, PngMemo, SceneCache, SceneContext, run_eval
 from sandbox3d.providers import (
     DIRECTION_MARKER,
@@ -29,6 +30,7 @@ from sandbox3d.providers import (
     ImagePart,
     SyntheticRig,
     TextPart,
+    describe_turns,
 )
 from sandbox3d.qa import read_benchmark, write_benchmark
 from sandbox3d.synthetic_world import generate_world
@@ -107,6 +109,29 @@ def _count_encodes(monkeypatch) -> list[str]:
     return digests
 
 
+def _count_hashes(monkeypatch) -> list[int]:
+    """Wrap the sha256 that image_io hashes pixels with; one entry per call."""
+    calls = []
+    real = image_io.hashlib.sha256
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(image_io.hashlib, "sha256", counted)
+    return calls
+
+
+def _transcript(image) -> str:
+    return describe_turns([ChatTurn("user", (TextPart("look"), ImagePart(image)))])
+
+
+def _expected_transcript(image) -> str:
+    digest = hashlib.sha256(np.ascontiguousarray(image).tobytes()).hexdigest()[:16]
+    h, w = image.shape[:2]
+    return f"=== user ===\nlook\n[image {w}x{h} sha256={digest}]\n"
+
+
 def _assert_urls_encode_their_pixels(urls, tmp_path):
     """Each data URL is base64(png_bytes(image)) of the pixels it carries."""
     assert urls
@@ -145,6 +170,18 @@ def test_run_eval_encodes_each_distinct_image_once(
     # per question: 13 view and 2 render artifacts, 5 images over 3 requests
     assert len(_Handler.images) == 5 * 5
     assert encodes and len(encodes) == len(set(encodes))
+    _assert_urls_encode_their_pixels(_Handler.images, tmp_path)
+
+
+@pytest.mark.parametrize("parallelism", [1, 2])
+def test_run_eval_hashes_each_scene_image_once(monkeypatch, tmp_path, bundle, stub, parallelism):
+    cfg, path = _eval_setup(tmp_path, bundle, stub, parallelism)
+    hashes = _count_hashes(monkeypatch)
+    report = run_eval(cfg, path, out_dir=tmp_path / "eval")
+    assert report.failed == () and all(r.mode_used == "full" for r in report.rows)
+    assert len(_Handler.images) == 5 * 5
+    # the scene's 13 views and 2 renders, each hashed once for all 5 questions
+    assert 0 < len(hashes) <= 15
     _assert_urls_encode_their_pixels(_Handler.images, tmp_path)
 
 
@@ -293,3 +330,87 @@ def test_png_memo_keys_on_shape_and_dtype_not_only_the_bytes():
     assert memo(grey.reshape(2, 2, 3)) == png_bytes(grey.reshape(2, 2, 3))
     with pytest.raises(ValueError, match="uint8"):
         memo(grey.view(np.int8).reshape(3, 4))
+
+
+def test_a_frozen_image_is_hashed_once_while_it_lives(monkeypatch):
+    hashes = _count_hashes(monkeypatch)
+    before = len(image_io._frozen)
+    image = freeze(np.arange(60, dtype=np.uint8).reshape(4, 5, 3).copy())
+    ref = weakref.ref(image)
+    memo = PngMemo()
+    blobs = {memo(image) for _ in range(3)}
+    transcripts = {_transcript(image) for _ in range(2)}
+    assert len(hashes) == 1
+    assert blobs == {png_bytes(image)}
+    assert transcripts == {_expected_transcript(image)}
+    assert len(image_io._frozen) == before + 1
+    del image, blobs
+    gc.collect()
+    assert ref() is None
+    assert len(image_io._frozen) == before
+
+
+def test_threads_share_one_digest_of_a_frozen_image():
+    image = freeze(np.full((64, 64, 3), 9, dtype=np.uint8))
+    entries = len(image_io._frozen)
+    barrier = threading.Barrier(8)
+    got = []
+
+    def one():
+        barrier.wait(timeout=10)
+        got.append(image_digest(image))
+
+    threads = [threading.Thread(target=one) for _ in range(8)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=10)
+        assert not t.is_alive()
+    assert got == 8 * [hashlib.sha256(image.tobytes()).digest()]
+    assert len(image_io._frozen) == entries
+    assert sum(entry.ref() is image for entry in image_io._frozen.values()) == 1
+
+
+def _writable(base):
+    return base, base
+
+
+def _read_only_view(base):
+    view = base.view()
+    view.flags.writeable = False
+    return view, base
+
+
+def _read_only_without_freeze(base):
+    writer = base[...]  # a writable view made before the flag is cleared
+    base.flags.writeable = False
+    return base, writer
+
+
+def _frozen_made_writable(base):
+    freeze(base)
+    base.flags.writeable = True
+    return base, base
+
+
+@pytest.mark.parametrize(
+    "layout", [_writable, _read_only_view, _read_only_without_freeze, _frozen_made_writable]
+)
+def test_an_image_changed_between_calls_gets_a_fresh_encode_and_digest(monkeypatch, layout):
+    encodes = _count_encodes(monkeypatch)
+    image, writer = layout(np.zeros((4, 5, 3), dtype=np.uint8))
+    memo = PngMemo()
+    first_png, first_text = memo(image), _transcript(image)
+    writer[1, 2] = (200, 100, 50)
+    second_png, second_text = memo(image), _transcript(image)
+    assert len(encodes) == 2
+    assert second_png != first_png and second_png == png_bytes(image)
+    assert second_text != first_text and second_text == _expected_transcript(image)
+
+
+def test_freeze_refuses_a_view():
+    base = np.zeros((4, 5, 3), dtype=np.uint8)
+    for view in (base[1:], base.view(), base[:, :, ::-1]):
+        with pytest.raises(ValueError, match="owns its data"):
+            freeze(view)
+        assert view.flags.writeable
