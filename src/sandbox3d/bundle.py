@@ -14,6 +14,7 @@ field. All writes are deterministic byte-for-byte.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -56,11 +57,43 @@ def _require(mapping: dict, key: str, context: str):
     return mapping[key]
 
 
+def _integer(mapping: dict, key: str, context: str) -> int:
+    value = _require(mapping, key, context)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise BundleFormatError(f"{context}.{key}: expected an integer")
+    return value
+
+
+def _finite(value, context: str) -> float:
+    """A JSON number (not a boolean) that is finite as a float."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:  # an integer beyond the float range
+            number = math.inf
+        if math.isfinite(number):
+            return number
+    raise BundleFormatError(f"{context}: expected a finite number, got {value!r:.40}")
+
+
+def _finite_list(values, n: int, context: str) -> np.ndarray:
+    if not isinstance(values, (list, tuple)) or len(values) != n:
+        raise BundleFormatError(f"{context}: expected a list of {n} numbers")
+    return np.array([_finite(x, f"{context}[{i}]") for i, x in enumerate(values)])
+
+
+def _file(spec: dict, key: str, context: str, root: Path) -> Path:
+    name = _require(spec, key, context)
+    if not isinstance(name, str):
+        raise BundleFormatError(f"{context}.{key}: expected a file name")
+    path = root / name
+    if not path.is_file():
+        raise BundleFormatError(f"{context}.{key}: file not found: {path.name}")
+    return path
+
+
 def _pose_from_floats(values, context: str) -> CameraPose:
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.shape != (16,):
-        raise BundleFormatError(f"{context}: expected 16 floats, got shape {arr.shape}")
-    m = arr.reshape(4, 4)
+    m = _finite_list(values, 16, context).reshape(4, 4)
     if not np.allclose(m[3], (0.0, 0.0, 0.0, 1.0), atol=1e-9):
         raise BundleFormatError(f"{context}: last row must be [0, 0, 0, 1]")
     try:
@@ -96,7 +129,7 @@ def load_bundle(path) -> SceneBundle:
         raise BundleFormatError(f"manifest.json: not found under {root}")
     try:
         manifest = json.loads(manifest_path.read_text())
-    except (OSError, json.JSONDecodeError) as err:
+    except (OSError, ValueError) as err:  # unreadable, not UTF-8, or not JSON
         raise BundleFormatError(f"manifest.json: {err}") from err
     if not isinstance(manifest, dict):
         raise BundleFormatError("manifest.json: top level must be an object")
@@ -105,9 +138,9 @@ def load_bundle(path) -> SceneBundle:
     if not isinstance(views_spec, list) or not views_spec:
         raise BundleFormatError("views: must be a non-empty list")
 
-    up_axis = np.asarray(manifest.get("up_axis", DEFAULT_UP_AXIS), dtype=np.float64)
-    if up_axis.shape != (3,):
-        raise BundleFormatError("up_axis: expected 3 floats")
+    up_axis = _finite_list(manifest.get("up_axis", DEFAULT_UP_AXIS), 3, "up_axis")
+    if abs(np.linalg.norm(up_axis) - 1.0) > 1e-9:  # SandboxScene's tolerance
+        raise BundleFormatError("up_axis: must be a unit vector")
 
     views: list[ViewFrame] = []
     seen_ids: set[ViewId] = set()
@@ -115,29 +148,26 @@ def load_bundle(path) -> SceneBundle:
         ctx = f"views[{i}]"
         if not isinstance(spec, dict):
             raise BundleFormatError(f"{ctx}: must be an object")
-        width = _require(spec, "width", ctx)
-        height = _require(spec, "height", ctx)
+        width = _integer(spec, "width", ctx)
+        height = _integer(spec, "height", ctx)
+        ictx = f"{ctx}.intrinsics"
         intr_spec = _require(spec, "intrinsics", ctx)
+        if not isinstance(intr_spec, dict):
+            raise BundleFormatError(f"{ictx}: must be an object")
+        fx, fy, cx, cy = (
+            _finite(_require(intr_spec, k, ictx), f"{ictx}.{k}") for k in ("fx", "fy", "cx", "cy")
+        )
         try:
-            intrinsics = CameraIntrinsics(
-                fx=float(_require(intr_spec, "fx", f"{ctx}.intrinsics")),
-                fy=float(_require(intr_spec, "fy", f"{ctx}.intrinsics")),
-                cx=float(_require(intr_spec, "cx", f"{ctx}.intrinsics")),
-                cy=float(_require(intr_spec, "cy", f"{ctx}.intrinsics")),
-                width=int(width),
-                height=int(height),
-            )
-        except (TypeError, ValueError) as err:
-            raise BundleFormatError(f"{ctx}.intrinsics: {err}") from err
+            intrinsics = CameraIntrinsics(fx, fy, cx, cy, width, height)
+        except ValueError as err:
+            raise BundleFormatError(f"{ictx}: {err}") from err
         pose = _pose_from_floats(_require(spec, "pose", ctx), f"{ctx}.pose")
         view_id = _view_id_from(spec.get("view_id"), f"{ctx}.view_id")
         if view_id in seen_ids:
             raise BundleFormatError(f"{ctx}.view_id: duplicate {view_id.tag()}")
         seen_ids.add(view_id)
 
-        image_path = root / _require(spec, "image", ctx)
-        if not image_path.is_file():
-            raise BundleFormatError(f"{ctx}.image: file not found: {image_path.name}")
+        image_path = _file(spec, "image", ctx, root)
         try:
             image = read_image(image_path)
         except ValueError as err:
@@ -150,9 +180,7 @@ def load_bundle(path) -> SceneBundle:
                 f"{intrinsics.width}x{intrinsics.height}"
             )
         freeze(image)  # every question about the scene shares it
-        depth_path = root / _require(spec, "depth", ctx)
-        if not depth_path.is_file():
-            raise BundleFormatError(f"{ctx}.depth: file not found: {depth_path.name}")
+        depth_path = _file(spec, "depth", ctx, root)
         depth_values = read_depth_raw(depth_path, intrinsics.width, intrinsics.height)
         try:
             depth = DepthGrid(depth_values)
@@ -172,13 +200,9 @@ def load_bundle(path) -> SceneBundle:
         view_id = _view_id_from(_require(spec, "view", ctx), f"{ctx}.view")
         if view_id not in by_id:
             raise BundleFormatError(f"{ctx}.view: no such view {view_id.tag()}")
-        object_id = _require(spec, "object_id", ctx)
-        if not isinstance(object_id, int) or isinstance(object_id, bool):
-            raise BundleFormatError(f"{ctx}.object_id: expected an integer")
+        object_id = _integer(spec, "object_id", ctx)
         label = _require(spec, "label", ctx)
-        mask_path = root / _require(spec, "path", ctx)
-        if not mask_path.is_file():
-            raise BundleFormatError(f"{ctx}.path: file not found: {mask_path.name}")
+        mask_path = _file(spec, "path", ctx, root)
         try:
             raster = read_image(mask_path)
         except ValueError as err:

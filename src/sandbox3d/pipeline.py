@@ -23,22 +23,28 @@ and answer queries, degrade decisions, question-level artifacts and
 `pointcloud_render`'s dense cloud run for every question.
 
 `run_eval` builds each scene spec's providers and context once (per views
-directory) and keeps them, with one `PngMemo` for all of them and its HTTP
-client, until it returns. With `eval_artifacts`, a scene's views go to
+directory). It keeps a synthetic scene's until it returns, and drops a bundle
+scene's, whose decoded frames and masks are large, once the last of the
+scene's records has finished. One `PngMemo` for all scenes and the HTTP
+client live until it returns. With `eval_artifacts`, a scene's views go to
 `<out>/scenes/<n>/<motion>/`, `<n>` numbering the distinct scene specs in
 order of first appearance, and each `records/<id>/` gets a `views.json`
 pointer, `{"dir": "../../scenes/<n>/<motion>"}`; a record whose direction query fails has no motion and no pointer. A bare
 `run_pipeline` call shares only within its `ProviderSet`'s context, and
 writes the views into its own tree.
 
-With `parallelism > 1`, `run_eval` schedules by scene. Each scene's first
-record in benchmark order starts at once; the scene's other records are
-submitted to the pool only after that first record has returned, whether it
-succeeded or failed. So no worker blocks on a scene's bundle load, view write
-or sandbox build: the first record has done them. Siblings that ask for a
-(motion, hints) key the first record did not still meet in the single flights
-above. Rows stay in benchmark order. The cost: a one-scene eval runs its
-first record alone.
+With `parallelism > 1`, `run_eval` schedules by scene. A scene opens when
+its first record in benchmark order is submitted; the scene's other records
+are submitted to the pool only after that first record has returned, whether
+it succeeded or failed. So no worker blocks on a scene's bundle load, view
+write or sandbox build: the first record has done them. Siblings that ask for
+a (motion, hints) key the first record did not still meet in the single
+flights above. The next scene opens only while fewer tasks are outstanding
+than there are workers, so open scenes' siblings run before new scenes and no
+worker idles while a scene waits. Every open scene has a task outstanding, so
+at most `parallelism` scenes are open, and with the release above an eval
+holds at most that many bundle scenes. Rows stay in benchmark order. The
+cost: a one-scene eval runs its first record alone.
 """
 
 from __future__ import annotations
@@ -52,7 +58,7 @@ import re
 import threading
 import time
 import typing
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from functools import partial
 from importlib import resources
@@ -401,7 +407,7 @@ class SceneSandbox:
 class _Once:
     """Single flight per key: the first caller for a key loads it; later
     callers wait for that result. A failed load is not cached and raises in
-    every waiter."""
+    every waiter. `drop` forgets a key, so its next caller loads it again."""
 
     def __init__(self):
         self._lock = threading.Lock()
@@ -418,10 +424,16 @@ class _Once:
                 future.set_result(load())
             except BaseException as err:
                 with self._lock:
-                    del self._table[key]
+                    if self._table.get(key) is future:  # not dropped meanwhile
+                        del self._table[key]
                 future.set_exception(err)
                 raise
         return future.result()
+
+    def drop(self, key) -> None:
+        """Forget `key`; a caller already waiting on it still gets its result."""
+        with self._lock:
+            self._table.pop(key, None)
 
 
 class PngMemo:
@@ -527,7 +539,9 @@ class SceneCache:
     """Scene-side state shared across an eval's records: one entry per
     (scene, views directory), made once, holding the scene's `ProviderSet`
     less its VLM, with a `SceneContext` on the eval's `PngMemo`, and the rig
-    the geometry mock reads (None for a bundle)."""
+    the geometry mock reads (None for a bundle). A bundle scene's entry goes
+    when `release` is called for it; a synthetic scene's stays as long as
+    the cache."""
 
     def __init__(self, config: PipelineConfig):
         self.config = config
@@ -574,6 +588,15 @@ class SceneCache:
 
         providers, rig = self._scenes.get((key, views_dir), load)
         return dataclasses.replace(providers, vlm=self._vlm_for(record, index, rig))
+
+    def release(self, record: QARecord, views_dir: Path | None = None) -> None:
+        """Forget the record's scene if it is a bundle, whose decoded frames
+        and masks are large; a later `providers_for` loads it again. A
+        synthetic scene is kept: releasing those measured slower, since the
+        next scene faults the trimmed heap back in."""
+        spec = record.scene
+        if spec.get("kind") == "bundle" and "path" in spec:
+            self._scenes.drop((str(spec["path"]), views_dir))
 
     def _vlm_for(self, record: QARecord, index: int, rig: SyntheticRig | None):
         kind = self.config.vlm
@@ -1027,12 +1050,15 @@ def run_eval(config: PipelineConfig, benchmark_path, out_dir=None) -> RunReport:
     """Score every benchmark record; single-record failures never abort.
 
     Each scene's sandbox and prompt context (stages 5-7) is built once per
-    (motion, hints) and shared by the questions that ask for it until
-    run_eval returns, each distinct image is encoded as PNG once per eval,
-    and with `eval_artifacts` each scene's views are written once per motion.
-    With more than one worker, a scene's other records start only after its
-    first record has returned, so a one-scene eval runs its first record
-    alone; rows keep benchmark order. See the module docstring."""
+    (motion, hints) and shared by the questions that ask for it, each
+    distinct image is encoded as PNG once per eval, and with
+    `eval_artifacts` each scene's views are written once per motion. A
+    synthetic scene is kept until run_eval returns; a bundle scene is
+    released after its last record. With more than one worker, a scene's
+    other records start only after its first record has returned, and a new
+    scene opens only while a worker would otherwise idle, so at most
+    `parallelism` scenes are open; rows keep benchmark order. See the module
+    docstring."""
     try:
         records = read_benchmark(benchmark_path)
     except (OSError, ValueError, json.JSONDecodeError) as err:
@@ -1104,16 +1130,29 @@ def run_eval(config: PipelineConfig, benchmark_path, out_dir=None) -> RunReport:
             error=error,
         )
 
+    scenes: dict[int, list[int]] = {}  # scene number -> its record indices, in order
+    for i, n in enumerate(scene_of):
+        scenes.setdefault(n, []).append(i)
+    unfinished = {n: len(g) for n, g in scenes.items()}
+
+    def finished(index: int) -> None:
+        """On the calling thread, after each record: frees a bundle scene
+        once the last of its records is done."""
+        n = scene_of[index]
+        unfinished[n] -= 1
+        if not unfinished[n]:
+            cache.release(records[index], None if scene_dirs is None else scene_dirs[index])
+
     max_workers = config.parallelism or os.cpu_count() or 1
     if max_workers == 1:
         # On the calling thread: a one-thread pool starts a fresh thread per
         # call, and glibc may give it a new malloc arena whose freed memory
         # stays resident (a sporadic +40 MB peak RSS over repeated evals).
-        rows = [work(i, rec) for i, rec in enumerate(records)]
+        rows = []
+        for i, rec in enumerate(records):
+            rows.append(work(i, rec))
+            finished(i)
     else:
-        scenes: dict[int, list[int]] = {}
-        for i, n in enumerate(scene_of):
-            scenes.setdefault(n, []).append(i)
         pool = ThreadPoolExecutor(max_workers=max_workers)
 
         def run_scene(first: int, rest: list[int]):
@@ -1122,13 +1161,29 @@ def run_eval(config: PipelineConfig, benchmark_path, out_dir=None) -> RunReport:
             row = work(first, records[first])
             return row, [pool.submit(work, i, records[i]) for i in rest]
 
+        rows = [None] * len(records)
+        unopened = iter(scenes.values())
+        # future -> (its record, the siblings a first record submits, or
+        # None for a sibling)
+        outstanding: dict[Future, tuple[int, list[int] | None]] = {}
         try:
-            rows = [None] * len(records)
-            heads = [pool.submit(run_scene, g[0], g[1:]) for g in scenes.values()]
-            for g, head in zip(scenes.values(), heads):
-                rows[g[0]], rest = head.result()  # every sibling is submitted by now
-                for i, future in zip(g[1:], rest):
-                    rows[i] = future.result()
+            while True:
+                # A scene opens only while a worker would otherwise idle, so
+                # open scenes' siblings go first. Every open scene keeps a
+                # task outstanding, so at most max_workers scenes are open.
+                while len(outstanding) < max_workers and (g := next(unopened, None)):
+                    outstanding[pool.submit(run_scene, g[0], g[1:])] = (g[0], g[1:])
+                if not outstanding:
+                    break
+                done, _ = wait(outstanding, return_when=FIRST_COMPLETED)
+                for future in done:
+                    i, rest = outstanding.pop(future)
+                    if rest is None:
+                        rows[i] = future.result()
+                    else:
+                        rows[i], siblings = future.result()
+                        outstanding.update((f, (j, None)) for f, j in zip(siblings, rest))
+                    finished(i)
         finally:
             # Nothing is queued here unless a BaseException cut the loop
             # short; then drop the queue and join the workers.

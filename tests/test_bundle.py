@@ -111,7 +111,10 @@ def test_bundle_missing_manifest(tmp_path):
 
 def _write_and_mangle(tmp_path, mutate):
     root = tmp_path / "b"
-    write_bundle(root, [_frame(ViewId(-1, -1), 0)], scene_id="s")
+    bits = np.zeros((24, 32), dtype=bool)
+    bits[3:9, 4:12] = True
+    masks = {(ViewId(-1, -1), 0): InstanceMask(bits, 0, "box")}
+    write_bundle(root, [_frame(ViewId(-1, -1), 0)], masks, scene_id="s")
     manifest = json.loads((root / "manifest.json").read_text())
     mutate(manifest, root)
     (root / "manifest.json").write_text(json.dumps(manifest))
@@ -236,3 +239,138 @@ def test_bundle_undecodable_raster_is_named(tmp_path, damage, name, field):
     damage(root / name)
     with pytest.raises(BundleFormatError, match=rf"{field}: {name}"):
         load_bundle(root)
+
+
+def _set(path, value):
+    def mutate(m, root):
+        *keys, last = path
+        node = m
+        for key in keys:
+            node = node[key]
+        node[last] = value
+
+    return mutate
+
+
+@pytest.mark.parametrize(
+    "path, value, field",
+    [
+        (("views", 0, "pose", 5), "x", r"views\[0\]\.pose\[5\]"),
+        (("views", 0, "pose", 0), True, r"views\[0\]\.pose\[0\]"),
+        (("views", 0, "pose", 0), float("nan"), r"views\[0\]\.pose\[0\]"),
+        (("up_axis", 1), "down", r"up_axis\[1\]"),
+        (("up_axis",), "0 -1 0", r"up_axis"),
+        (("up_axis",), [0.0, -2.0, 0.0], r"up_axis: must be a unit vector"),
+        (("up_axis",), [0.0, 0.0, 0.0], r"up_axis: must be a unit vector"),
+        (("up_axis",), [0.0, -1.0 - 1e-8, 0.0], r"up_axis: must be a unit vector"),
+        (("views", 0, "image"), 7, r"views\[0\]\.image: expected a file name"),
+        (("views", 0, "depth"), ["input.f32"], r"views\[0\]\.depth: expected a file name"),
+        (("masks", 0, "path"), None, r"masks\[0\]\.path: expected a file name"),
+        (("views", 0, "width"), 32.7, r"views\[0\]\.width: expected an integer"),
+        (("views", 0, "height"), "24", r"views\[0\]\.height: expected an integer"),
+        (("views", 0, "width"), 1e999, r"views\[0\]\.width: expected an integer"),
+        (("views", 0, "intrinsics", "fx"), float("inf"), r"views\[0\]\.intrinsics\.fx"),
+        (("views", 0, "intrinsics", "cy"), "12", r"views\[0\]\.intrinsics\.cy"),
+        (("views", 0, "intrinsics"), [100.0], r"views\[0\]\.intrinsics: must be an object"),
+    ],
+    ids=[
+        "pose-str", "pose-bool", "pose-nan", "up-str-entry", "up-str", "up-long", "up-zero",
+        "up-off-unit", "image-int", "depth-list", "mask-path-none", "width-float",
+        "height-str", "width-inf", "fx-inf", "cy-str", "intrinsics-list",
+    ],
+)
+def test_bundle_malformed_field_is_named(tmp_path, path, value, field):
+    root = _write_and_mangle(tmp_path, _set(path, value))
+    with pytest.raises(BundleFormatError, match=field):
+        load_bundle(root)
+
+
+def test_bundle_up_axis_within_tolerance_loads(tmp_path):
+    up = [0.0, -1.0 + 1e-12, 0.0]
+    root = _write_and_mangle(tmp_path, _set(("up_axis",), up))
+    np.testing.assert_array_equal(load_bundle(root).up_axis, up)
+
+
+def test_bundle_manifest_that_is_not_utf8_is_named(tmp_path):
+    root = tmp_path / "b"
+    write_bundle(root, [_frame(ViewId(-1, -1), 0)], scene_id="s")
+    (root / "manifest.json").write_bytes(b'{"views": "\xff\xfe"}')
+    with pytest.raises(BundleFormatError, match="manifest.json"):
+        load_bundle(root)
+
+
+# ── Seeded manifest fuzz ───────────────────────────────────────────────────
+
+_ODD_VALUES = (
+    None, True, 0, -1, 1.5, 2**70, float("nan"), float("inf"), "", "x", "1.0", [], {},
+    [1, 2], [[0.0] * 4] * 4, {"fx": 1},
+)
+
+
+def _json_paths(node, prefix=()):
+    """The key path of every value below `node`."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in items:
+        yield (*prefix, key)
+        if isinstance(child, (dict, list)):
+            yield from _json_paths(child, (*prefix, key))
+
+
+def _mutate(rng, root, manifest, files) -> str:
+    """Apply one seeded mutation to the bundle at `root`; returns what it did."""
+    kind = rng.choice(["replace", "delete", "truncate"])
+    if kind == "truncate":
+        name = rng.choice(sorted(files))
+        cut = int(rng.integers(0, len(files[name])))
+        (root / name).write_bytes(files[name][:cut])
+        return f"truncate {name} to {cut} bytes"
+    paths = list(_json_paths(manifest))
+    path = paths[rng.integers(len(paths))]
+    *keys, last = path
+    parent = manifest
+    for key in keys:
+        parent = parent[key]
+    if kind == "delete":
+        del parent[last]
+        what = f"delete {path}"
+    else:
+        value = _ODD_VALUES[rng.integers(len(_ODD_VALUES))]
+        parent[last] = value
+        what = f"set {path} = {value!r}"
+    (root / "manifest.json").write_text(json.dumps(manifest))
+    return what
+
+
+def test_bundle_manifest_fuzz_loads_or_names_the_field(tmp_path):
+    # two views with a mask each; every mutation either loads a usable
+    # bundle or raises BundleFormatError, never a raw ValueError/TypeError
+    bits = np.zeros((24, 32), dtype=bool)
+    bits[3:9, 4:12] = True
+    masks = {
+        (ViewId(-1, -1), 0): InstanceMask(bits, 0, "box"),
+        (ViewId(0, 0), 1): InstanceMask(~bits, 1, "lamp"),
+    }
+    root = tmp_path / "b"
+    write_bundle(root, [_frame(ViewId(-1, -1), 0), _frame(ViewId(0, 0), 1)], masks)
+    files = {p.name: p.read_bytes() for p in root.iterdir()}
+    outcomes = {"loaded": 0, "named": 0}
+    for seed in range(200):
+        for name, blob in files.items():
+            (root / name).write_bytes(blob)
+        rng = np.random.default_rng(seed)
+        what = _mutate(rng, root, json.loads(files["manifest.json"]), files)
+        try:
+            bundle = load_bundle(root)
+        except BundleFormatError:
+            outcomes["named"] += 1
+            continue
+        except Exception as err:  # name the mutation in the failure
+            pytest.fail(f"seed {seed}: {what}: raw {type(err).__name__}: {err}")
+        outcomes["loaded"] += 1
+        assert abs(np.linalg.norm(bundle.up_axis) - 1.0) <= 1e-9, (seed, what)
+        for view in bundle.views:
+            k = view.intrinsics
+            assert view.image.shape == (k.height, k.width, 3), (seed, what)
+            assert view.depth.values.shape == (k.height, k.width), (seed, what)
+    # both outcomes occur, so the mutations neither all miss nor all break
+    assert outcomes["loaded"] >= 10 and outcomes["named"] >= 100, outcomes

@@ -68,6 +68,44 @@ def test_run_bundle_mv_only_random_mock(tmp_path, capsys):
     assert (art / "result.json").is_file()
 
 
+def _pose_entry(m):
+    m["views"][0]["pose"][3] = "one"
+
+
+def _fractional_width(m):
+    m["views"][0]["width"] += 0.7
+
+
+def _long_up_axis(m):
+    m["up_axis"] = [0.0, -2.0, 0.0]
+
+
+def _numbered_image(m):
+    m["views"][0]["image"] = 3
+
+
+@pytest.mark.parametrize(
+    "mangle, field",
+    [
+        (_pose_entry, r"views[0].pose[3]"),
+        (_fractional_width, r"views[0].width"),
+        (_long_up_axis, r"up_axis"),
+        (_numbered_image, r"views[0].image"),
+    ],
+    ids=["pose", "width", "up_axis", "image"],
+)
+def test_run_reports_a_malformed_bundle_field(tmp_path, capsys, mangle, field):
+    # a malformed manifest exits 1 with the field named, not with a traceback
+    bundle = _synth(tmp_path)
+    manifest = json.loads((bundle / "manifest.json").read_text())
+    mangle(manifest)
+    (bundle / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    argv = ["run", "--bundle", str(bundle), "--question", str(bundle / "question0.json"),
+            "--mode", "mv_only", "--vlm", "random_mock"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith(f"error: {field}")
+
+
 def test_run_keeps_render_names_under_out(tmp_path, capsys):
     bundle = _synth(tmp_path)
     manifest_path = bundle / "manifest.json"

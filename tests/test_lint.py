@@ -75,3 +75,14 @@ def test_only_image_io_hashes_pixels():
         if "hashlib" in _imported_modules(p.read_text(encoding="utf-8"))
     )
     assert importers == ["image_io.py"]
+
+
+def test_only_pipeline_schedules_on_threads():
+    # run_eval's executor is the one scheduler: it bounds the scenes an eval
+    # holds, which a second pool elsewhere would not respect
+    importers = sorted(
+        p.name
+        for p in SRC.glob("*.py")
+        if "concurrent" in _imported_modules(p.read_text(encoding="utf-8"))
+    )
+    assert importers == ["pipeline.py"]

@@ -798,6 +798,33 @@ def test_scene_cache_loads_a_raced_bundle_once(monkeypatch):
     assert loads == ["scene", "broken", "broken"]
 
 
+def test_once_keeps_a_newer_load_when_a_dropped_load_fails():
+    once = pipeline._Once()
+    started, fail = threading.Event(), threading.Event()
+    errors = []
+
+    def failing():
+        started.set()
+        fail.wait(timeout=5)
+        raise RuntimeError("lost")
+
+    def first():
+        try:
+            once.get("k", failing)
+        except RuntimeError as err:
+            errors.append(err)
+
+    thread = threading.Thread(target=first)
+    thread.start()
+    assert started.wait(timeout=5)
+    once.drop("k")
+    assert once.get("k", lambda: "fresh") == "fresh"
+    fail.set()
+    thread.join(timeout=5)
+    assert not thread.is_alive() and len(errors) == 1
+    assert once.get("k", lambda: "reloaded") == "fresh"  # the failure evicted nothing
+
+
 @pytest.mark.parametrize("kind", ["synthetic", "bundle"])
 def test_scene_cache_builds_a_scenes_providers_once(tmp_path, sp, kind):
     records = _one_scene(2)
@@ -1479,3 +1506,178 @@ def test_run_eval_leaves_with_a_worker_base_exception(monkeypatch, tmp_path, par
         _eval_within(cfg, _bench_path(tmp_path, records))
     assert caught.value.code == 3
     assert set(threading.enumerate()) <= before  # every pool worker has exited
+
+
+def _bundle_benchmark(tmp_path, sp, scenes, questions):
+    """`questions` records on each of `scenes` one-view bundles, grouped by scene."""
+    records = []
+    for s in range(scenes):
+        path = tmp_path / f"scene{s}"
+        write_bundle(path, [sp.input_view()], {})
+        records += [_bundle_record(path, qid=f"s{s}q{q}") for q in range(questions)]
+    return records
+
+
+class _LiveBundles:
+    """Each `load_bundle` call and the bundles alive at once. A `SceneBundle`
+    itself dies inside `bundle_providers`, so a loaded scene counts as alive
+    while its input frame's depth array is."""
+
+    def __init__(self, monkeypatch):
+        self.loads: list[str] = []
+        self.alive: dict[str, int] = {}
+        self.peak = 0
+        self._lock = threading.Lock()
+        real_load = pipeline.load_bundle
+
+        def load(path):
+            bundle = real_load(path)
+            with self._lock:
+                self.loads.append(str(path))
+                self.alive[str(path)] = self.alive.get(str(path), 0) + 1
+                self.peak = max(self.peak, sum(self.alive.values()))
+            weakref.finalize(bundle.input_view().depth.values, self._died, str(path))
+            return bundle
+
+        monkeypatch.setattr(pipeline, "load_bundle", load)
+
+    def _died(self, path):
+        with self._lock:
+            self.alive[path] -= 1
+
+
+@pytest.mark.parametrize("parallelism", [1, 2, 4])
+def test_run_eval_holds_at_most_parallelism_bundles(monkeypatch, tmp_path, sp, parallelism):
+    records = _bundle_benchmark(tmp_path, sp, scenes=6, questions=3)
+    live = _LiveBundles(monkeypatch)
+    _Timeline(monkeypatch)  # records take a while, so scenes held too long overlap
+    cfg = PipelineConfig(mode="mv_only", vlm="random_mock", parallelism=parallelism)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # interleave the workers and the scheduler finely
+    try:
+        assert _eval_within(cfg, _bench_path(tmp_path, records)).failed == ()
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(live.loads) == sorted({r.scene["path"] for r in records})  # once each
+    assert 1 <= live.peak <= parallelism
+
+
+def test_run_eval_opens_a_scene_only_when_no_sibling_waits(monkeypatch, tmp_path):
+    # once a scene's first record has returned, its siblings are ready, and
+    # no later scene's first record may start before all of them have;
+    # scene-first scheduling alone queued them behind every first record
+    records = build_benchmark(15, questions_per_world=5)
+    scene = {r.qid: json.dumps(r.scene, sort_keys=True) for r in records}
+    head = {}
+    for r in records:
+        head.setdefault(scene[r.qid], r.qid)
+    assert len(head) == 3
+    timeline = _Timeline(monkeypatch)
+    cfg = PipelineConfig(mode="mv_only", vlm="random_mock", parallelism=2)
+    assert _eval_within(cfg, _bench_path(tmp_path, records)).failed == ()
+    timeline.assert_siblings_wait(records)
+    started: set[str] = set()
+    ended: set[str] = set()
+    for kind, qid in timeline.events:
+        if kind == "end":
+            ended.add(qid)
+            continue
+        if qid in head.values():
+            ready = {r.qid for r in records if head[scene[r.qid]] in ended}
+            assert ready <= started, f"{qid} started before {sorted(ready - started)}"
+        started.add(qid)
+
+
+def _interleaved(grouped, questions):
+    """Records grouped by scene, `questions` each, dealt out in turn."""
+    scenes = [grouped[i : i + questions] for i in range(0, len(grouped), questions)]
+    return [r for turn in zip(*scenes) for r in turn]
+
+
+def _tree_but_configs(root: Path) -> dict[str, bytes]:
+    """`_tree`, less each `config.json`, which records `parallelism`."""
+    return {k: v for k, v in _tree(root).items() if not k.endswith("config.json")}
+
+
+@pytest.mark.parametrize("parallelism", [2, 4])
+def test_run_eval_interleaved_bundles_match_one_worker(monkeypatch, tmp_path, sp, parallelism):
+    grouped = _bundle_benchmark(tmp_path, sp, scenes=2, questions=5)
+    records = _interleaved(grouped, 5)
+    assert [r.qid for r in records[:4]] == ["s0q0", "s1q0", "s0q1", "s1q1"]
+    live = _LiveBundles(monkeypatch)
+    path = _bench_path(tmp_path, records)
+    reports = {}
+    for p in (1, parallelism):
+        cfg = PipelineConfig(
+            mode="mv_only", vlm="random_mock", parallelism=p, eval_artifacts=True
+        )
+        reports[p] = _eval_within(cfg, path, out_dir=tmp_path / f"p{p}")
+    assert reports[1].failed == ()
+    assert [dataclasses.replace(r, wall_ms=0.0) for r in reports[parallelism].rows] == [
+        dataclasses.replace(r, wall_ms=0.0) for r in reports[1].rows
+    ]
+    for part in ("records", "scenes"):
+        one, many = (_tree_but_configs(tmp_path / f"p{p}" / part) for p in (1, parallelism))
+        assert one and many == one
+    assert sorted(live.loads) == sorted(2 * [r.scene["path"] for r in grouped[::5]])
+
+
+@pytest.mark.parametrize("parallelism", [1, 2])
+@pytest.mark.parametrize("failure", ["direction_query", "providers_for"])
+def test_run_eval_releases_a_bundle_after_its_last_record(
+    monkeypatch, tmp_path, sp, parallelism, failure
+):
+    records = _interleaved(_bundle_benchmark(tmp_path, sp, scenes=2, questions=4), 4)
+    heads = {0, 1}  # the first record of each scene fails
+    if failure == "direction_query":
+        real_vlm_for = SceneCache._vlm_for
+
+        def vlm_for(self, record, index, sp_):
+            if index in heads:
+                return ScriptedVlm([])  # ProviderError on the direction query
+            return real_vlm_for(self, record, index, sp_)
+
+        monkeypatch.setattr(SceneCache, "_vlm_for", vlm_for)
+    else:
+        real_providers_for = SceneCache.providers_for
+
+        def providers_for(self, record, index, views_dir=None):
+            if index in heads:
+                raise RuntimeError("scene unavailable")
+            return real_providers_for(self, record, index, views_dir)
+
+        monkeypatch.setattr(SceneCache, "providers_for", providers_for)
+    live = _LiveBundles(monkeypatch)
+    timeline = _Timeline(monkeypatch)
+    releases = []
+    real_release = SceneCache.release
+
+    def release(self, record, views_dir=None):
+        real_release(self, record, views_dir)
+        path = record.scene["path"]
+        ended = {qid for kind, qid in timeline.events if kind == "end"}
+        pending = {r.qid for r in records if r.scene["path"] == path} - ended
+        releases.append((path, pending, live.alive[path]))
+
+    monkeypatch.setattr(SceneCache, "release", release)
+    cfg = PipelineConfig(mode="mv_only", vlm="random_mock", parallelism=parallelism)
+    report = _eval_within(cfg, _bench_path(tmp_path, records))
+    assert report.failed == (records[0].qid, records[1].qid)
+    paths = sorted({r.scene["path"] for r in records})
+    # released once per scene, after its last record ended, and then dead
+    assert sorted(path for path, _, _ in releases) == paths
+    assert all(pending == set() and alive == 0 for _, pending, alive in releases)
+    assert sorted(live.loads) == paths
+
+
+def test_scene_cache_releases_bundles_but_keeps_synthetic_scenes(tmp_path, sp):
+    bundle = _bundle_record(tmp_path / "scene")
+    write_bundle(tmp_path / "scene", [sp.input_view()], {})
+    synthetic = _one_scene(1)[0]
+    cache = SceneCache(PipelineConfig(vlm="random_mock"))
+    for record in (bundle, synthetic):
+        first = cache.providers_for(record, 0)
+        cache.release(record)
+        again = cache.providers_for(record, 1)
+        assert (again.scene is first.scene) == (record is synthetic)
+    cache.release(_bundle_record(tmp_path / "never-loaded"))  # nothing to drop
