@@ -25,6 +25,7 @@ from .bundle import load_bundle, write_bundle
 from .errors import BundleFormatError, ConfigError, GenerationError, ProviderError
 from .pipeline import (
     MODES,
+    VLMS,
     PipelineConfig,
     SceneContext,
     bundle_providers,
@@ -226,9 +227,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ev = sub.add_parser("eval", help="score a benchmark JSONL file")
     ev.add_argument("--benchmark", required=True)
     ev.add_argument("--mode", choices=MODES, default=None)
-    ev.add_argument(
-        "--vlm", choices=("http", "random_mock", "geometry_mock"), default=None
-    )
+    ev.add_argument("--vlm", choices=VLMS, default=None)
     ev.add_argument("--config", default=None, help="INI config file")
     ev.add_argument("--out", default=None, help="report directory")
     ev.set_defaults(func=_cmd_eval)

@@ -22,29 +22,33 @@ views directory, stages 1-3's view artifacts written once per motion. Hint
 and answer queries, degrade decisions, question-level artifacts and
 `pointcloud_render`'s dense cloud run for every question.
 
-`run_eval` builds each scene spec's providers and context once (per views
-directory). It keeps a synthetic scene's until it returns, and drops a bundle
-scene's, whose decoded frames and masks are large, once the last of the
-scene's records has finished. One `PngMemo` for all scenes and the HTTP
-client live until it returns. With `eval_artifacts`, a scene's views go to
-`<out>/scenes/<n>/<motion>/`, `<n>` numbering the distinct scene specs in
+A scene is its spec's `scene_id`, the spec as canonical JSON. `run_eval`
+builds each scene's providers and context once (per views directory). It
+keeps a synthetic scene's until it returns, and drops a bundle scene's, whose
+decoded frames and masks are large, once the last of the scene's records has
+finished. One `PngMemo` for all scenes and the HTTP client, built before any
+record runs, live until it returns. With `eval_artifacts`, a scene's views
+go to `<out>/scenes/<n>/<motion>/`, `<n>` numbering the distinct scenes in
 order of first appearance, and each `records/<id>/` gets a `views.json`
-pointer, `{"dir": "../../scenes/<n>/<motion>"}`; a record whose direction query fails has no motion and no pointer. A bare
-`run_pipeline` call shares only within its `ProviderSet`'s context, and
-writes the views into its own tree.
+pointer, `{"dir": "../../scenes/<n>/<motion>"}`; a record whose direction
+query fails has no motion and no pointer. A bare `run_pipeline` call shares
+only within its `ProviderSet`'s context, and writes the views into its own
+tree.
 
-With `parallelism > 1`, `run_eval` schedules by scene. A scene opens when
-its first record in benchmark order is submitted; the scene's other records
-are submitted to the pool only after that first record has returned, whether
-it succeeded or failed. So no worker blocks on a scene's bundle load, view
-write or sandbox build: the first record has done them. Siblings that ask for
-a (motion, hints) key the first record did not still meet in the single
+`run_eval` schedules by scene at every parallelism. A scene opens when its
+first record in benchmark order is submitted; the scene's other records are
+submitted only after that first record has returned, whether it succeeded
+or failed. So no worker blocks on a scene's bundle load, view write or
+sandbox build: the first record has done them. Siblings that ask for a
+(motion, hints) key the first record did not still meet in the single
 flights above. The next scene opens only while fewer tasks are outstanding
-than there are workers, so open scenes' siblings run before new scenes and no
-worker idles while a scene waits. Every open scene has a task outstanding, so
-at most `parallelism` scenes are open, and with the release above an eval
-holds at most that many bundle scenes. Rows stay in benchmark order. The
-cost: a one-scene eval runs its first record alone.
+than there are workers, so open scenes' siblings run before new scenes and
+no worker idles while a scene waits. Every open scene has a task
+outstanding, so at most `parallelism` scenes are open, and with the release
+above an eval holds at most that many bundle scenes. Rows stay in benchmark
+order. The cost: a one-scene eval runs its first record alone. With one
+worker each task runs at once on the calling thread, so a scene's records
+run together and no thread starts.
 """
 
 from __future__ import annotations
@@ -58,7 +62,7 @@ import re
 import threading
 import time
 import typing
-from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, Executor, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from functools import partial
 from importlib import resources
@@ -144,6 +148,7 @@ from .voting_clustering import (
 )
 
 MODES = ("full", "mv_only", "text_coords", "proxy_render", "pointcloud_render")
+VLMS = ("http", "geometry_mock", "random_mock")
 
 PROMPT_FILES = {
     "system_answer": "system_answer_v1.txt",
@@ -181,7 +186,7 @@ class PipelineConfig:
     stepback_m: float = 2.0
     pointcloud_stride: int = 8
     outlier_filter: bool = False
-    vlm: str = "http"  # http | geometry_mock | random_mock
+    vlm: str = "http"  # one of VLMS
     base_url: str | None = None
     model: str | None = None
     parallelism: int | None = None
@@ -190,6 +195,8 @@ class PipelineConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
+        if self.vlm not in VLMS:
+            raise ConfigError(f"unknown vlm provider {self.vlm!r}, not one of {VLMS}")
         if self.max_views < 1:
             raise ConfigError("m_candidates and t_steps must be positive")
         if self.pointcloud_stride < 1:
@@ -535,58 +542,58 @@ def _bounds_from_scene(scene: dict) -> WorldBounds:
         raise ConfigError(f"scene bounds: {err}") from err
 
 
+def scene_id(spec: dict) -> str:
+    """The one name of a benchmark scene: its spec as canonical JSON. Two
+    specs are one scene only if they are equal, key order aside."""
+    return json.dumps(spec, sort_keys=True)
+
+
 class SceneCache:
     """Scene-side state shared across an eval's records: one entry per
-    (scene, views directory), made once, holding the scene's `ProviderSet`
-    less its VLM, with a `SceneContext` on the eval's `PngMemo`, and the rig
-    the geometry mock reads (None for a bundle). A bundle scene's entry goes
-    when `release` is called for it; a synthetic scene's stays as long as
-    the cache."""
+    (`scene_id`, views directory), made once, holding the scene's
+    `ProviderSet` less its VLM, with a `SceneContext` on the eval's
+    `PngMemo`, and the rig the geometry mock reads (None for a bundle). A
+    bundle scene's entry goes when `release` is called for it; a synthetic
+    scene's stays as long as the cache. With `vlm = http` the one client
+    every record shares is built here, so a missing endpoint raises
+    `ConfigError` before any record runs."""
 
     def __init__(self, config: PipelineConfig):
         self.config = config
         self.png_memo = PngMemo()
-        self._lock = threading.Lock()
         self._scenes = _Once()
-        self._http_vlm: HttpChatVlm | None = None
-
-    def _shared_http_vlm(self) -> HttpChatVlm:
         # The client holds the memo itself, never this cache: a reference
         # back would make a cycle that outlives run_eval until a gc pass.
-        with self._lock:
-            if self._http_vlm is None:
-                self._http_vlm = HttpChatVlm(
-                    base_url=self.config.base_url,
-                    model=self.config.model,
-                    encode_png=self.png_memo,
-                )
-            return self._http_vlm
+        self._http_vlm = None
+        if config.vlm == "http":
+            self._http_vlm = HttpChatVlm(
+                base_url=config.base_url, model=config.model, encode_png=self.png_memo
+            )
 
     def providers_for(
         self, record: QARecord, index: int, views_dir: Path | None = None
     ) -> ProviderSet:
         """The record's providers; with `views_dir`, its view artifacts go
         once per motion beneath that directory (see `SceneContext`)."""
-        spec = record.scene
-        kind = spec.get("kind")
-        if kind == "synthetic":
-            key = (int(spec["seed"]), int(spec["objects"]), _bounds_from_scene(spec))
-        elif kind == "bundle":
-            key = str(spec["path"])
-        else:
-            raise ConfigError(f"record {record.qid}: unknown scene kind {kind!r}")
 
         def load():
+            spec = record.scene
+            kind = spec.get("kind")
             scene = SceneContext(views_dir, self.png_memo)
             if kind == "bundle":
-                return bundle_providers(load_bundle(key), None, scene), None
-            sp = SyntheticSceneProvider(generate_world(*key))
+                return bundle_providers(load_bundle(str(spec["path"])), None, scene), None
+            if kind != "synthetic":
+                raise ConfigError(f"record {record.qid}: unknown scene kind {kind!r}")
+            world = generate_world(
+                int(spec["seed"]), int(spec["objects"]), _bounds_from_scene(spec)
+            )
+            sp = SyntheticSceneProvider(world)
             providers = ProviderSet(
                 sp.input_view(), sp.generator, sp.segmenter, None, sp.world.up_axis, scene
             )
             return providers, sp.rig
 
-        providers, rig = self._scenes.get((key, views_dir), load)
+        providers, rig = self._scenes.get((scene_id(record.scene), views_dir), load)
         return dataclasses.replace(providers, vlm=self._vlm_for(record, index, rig))
 
     def release(self, record: QARecord, views_dir: Path | None = None) -> None:
@@ -594,21 +601,17 @@ class SceneCache:
         and masks are large; a later `providers_for` loads it again. A
         synthetic scene is kept: releasing those measured slower, since the
         next scene faults the trimmed heap back in."""
-        spec = record.scene
-        if spec.get("kind") == "bundle" and "path" in spec:
-            self._scenes.drop((str(spec["path"]), views_dir))
+        if record.scene.get("kind") == "bundle":
+            self._scenes.drop((scene_id(record.scene), views_dir))
 
     def _vlm_for(self, record: QARecord, index: int, rig: SyntheticRig | None):
-        kind = self.config.vlm
-        if kind == "http":
-            return self._shared_http_vlm()
-        if kind == "random_mock":
+        if self.config.vlm == "random_mock":
             return RandomMockVlm(seed=self.config.seed + index)
-        if kind == "geometry_mock":
+        if self.config.vlm == "geometry_mock":
             if rig is None:
                 raise ConfigError("geometry_mock requires synthetic scenes")
             return GeometryMockVlm(rig, record.payload or None)
-        raise ConfigError(f"unknown vlm provider {kind!r}")
+        return self._http_vlm
 
 
 # ── Pipeline run ───────────────────────────────────────────────────────────
@@ -1046,18 +1049,24 @@ class RunReport:
         return len(self.rows)
 
 
+class _CallingThread(Executor):
+    """One worker: `submit` runs the task at once on the calling thread and
+    returns its done future; an exception leaves `submit` itself. Not a
+    one-thread pool, which starts a fresh thread per eval, and glibc may give
+    it a new malloc arena whose freed memory stays resident (a sporadic
+    +40 MB peak RSS over repeated evals)."""
+
+    def submit(self, fn, /, *args, **kwargs) -> Future:
+        future = Future()
+        future.set_result(fn(*args, **kwargs))
+        return future
+
+
 def run_eval(config: PipelineConfig, benchmark_path, out_dir=None) -> RunReport:
     """Score every benchmark record; single-record failures never abort.
 
-    Each scene's sandbox and prompt context (stages 5-7) is built once per
-    (motion, hints) and shared by the questions that ask for it, each
-    distinct image is encoded as PNG once per eval, and with
-    `eval_artifacts` each scene's views are written once per motion. A
-    synthetic scene is kept until run_eval returns; a bundle scene is
-    released after its last record. With more than one worker, a scene's
-    other records start only after its first record has returned, and a new
-    scene opens only while a worker would otherwise idle, so at most
-    `parallelism` scenes are open; rows keep benchmark order. See the module
+    Rows keep benchmark order. What the records of a scene share, how long
+    a scene is held and how records are scheduled are set out in the module
     docstring."""
     try:
         records = read_benchmark(benchmark_path)
@@ -1065,17 +1074,13 @@ def run_eval(config: PipelineConfig, benchmark_path, out_dir=None) -> RunReport:
         raise ConfigError(f"benchmark: {err}") from err
     if not records:
         raise ConfigError("benchmark: no records")
-    if config.vlm not in ("http", "random_mock", "geometry_mock"):
-        raise ConfigError(f"unknown vlm provider {config.vlm!r}")
     if config.vlm == "geometry_mock" and any(
         r.scene.get("kind") != "synthetic" for r in records
     ):
         raise ConfigError("geometry_mock requires synthetic scenes")
 
-    numbers: dict[str, int] = {}  # per distinct scene spec, in order of first appearance
-    scene_of = [
-        numbers.setdefault(json.dumps(r.scene, sort_keys=True), len(numbers)) for r in records
-    ]
+    numbers: dict[str, int] = {}  # per scene_id, in order of first appearance
+    scene_of = [numbers.setdefault(scene_id(r.scene), len(numbers)) for r in records]
     out_root = Path(out_dir) if out_dir is not None else None
     scene_dirs = None  # per record: scenes/<n>
     if out_root is not None and config.eval_artifacts:
@@ -1144,50 +1149,41 @@ def run_eval(config: PipelineConfig, benchmark_path, out_dir=None) -> RunReport:
             cache.release(records[index], None if scene_dirs is None else scene_dirs[index])
 
     max_workers = config.parallelism or os.cpu_count() or 1
-    if max_workers == 1:
-        # On the calling thread: a one-thread pool starts a fresh thread per
-        # call, and glibc may give it a new malloc arena whose freed memory
-        # stays resident (a sporadic +40 MB peak RSS over repeated evals).
-        rows = []
-        for i, rec in enumerate(records):
-            rows.append(work(i, rec))
-            finished(i)
-    else:
-        pool = ThreadPoolExecutor(max_workers=max_workers)
+    pool = ThreadPoolExecutor(max_workers) if max_workers > 1 else _CallingThread()
 
-        def run_scene(first: int, rest: list[int]):
-            # The siblings start only now, so none waits in a worker for the
-            # first record's bundle load, view write or sandbox build.
-            row = work(first, records[first])
-            return row, [pool.submit(work, i, records[i]) for i in rest]
+    def run_scene(first: int, rest: list[int]):
+        # The siblings start only now, so none waits in a worker for the
+        # first record's bundle load, view write or sandbox build.
+        row = work(first, records[first])
+        return row, [pool.submit(work, i, records[i]) for i in rest]
 
-        rows = [None] * len(records)
-        unopened = iter(scenes.values())
-        # future -> (its record, the siblings a first record submits, or
-        # None for a sibling)
-        outstanding: dict[Future, tuple[int, list[int] | None]] = {}
-        try:
-            while True:
-                # A scene opens only while a worker would otherwise idle, so
-                # open scenes' siblings go first. Every open scene keeps a
-                # task outstanding, so at most max_workers scenes are open.
-                while len(outstanding) < max_workers and (g := next(unopened, None)):
-                    outstanding[pool.submit(run_scene, g[0], g[1:])] = (g[0], g[1:])
-                if not outstanding:
-                    break
-                done, _ = wait(outstanding, return_when=FIRST_COMPLETED)
-                for future in done:
-                    i, rest = outstanding.pop(future)
-                    if rest is None:
-                        rows[i] = future.result()
-                    else:
-                        rows[i], siblings = future.result()
-                        outstanding.update((f, (j, None)) for f, j in zip(siblings, rest))
-                    finished(i)
-        finally:
-            # Nothing is queued here unless a BaseException cut the loop
-            # short; then drop the queue and join the workers.
-            pool.shutdown(cancel_futures=True)
+    rows = [None] * len(records)
+    unopened = iter(scenes.values())
+    # future -> (its record, the siblings a first record submits, or None
+    # for a sibling)
+    outstanding: dict[Future, tuple[int, list[int] | None]] = {}
+    try:
+        while True:
+            # A scene opens only while a worker would otherwise idle, so open
+            # scenes' siblings go first. Every open scene keeps a task
+            # outstanding, so at most max_workers scenes are open.
+            while len(outstanding) < max_workers and (g := next(unopened, None)):
+                outstanding[pool.submit(run_scene, g[0], g[1:])] = (g[0], g[1:])
+            if not outstanding:
+                break
+            done, _ = wait(outstanding, return_when=FIRST_COMPLETED)
+            for future in done:
+                i, rest = outstanding.pop(future)
+                if rest is None:
+                    rows[i] = future.result()
+                else:
+                    rows[i], siblings = future.result()
+                    outstanding.update((f, (j, None)) for f, j in zip(siblings, rest))
+                finished(i)
+    finally:
+        # Nothing is queued here unless a BaseException cut the loop short;
+        # then drop the queue and join the workers.
+        pool.shutdown(cancel_futures=True)
 
     accuracy = sum(r.correct for r in rows) / len(rows)
     by_category = {}

@@ -244,6 +244,16 @@ def test_eval_missing_benchmark_exits_2(tmp_path, capsys):
     assert "config error:" in capsys.readouterr().err
 
 
+def test_eval_unconfigured_http_vlm_exits_2_before_any_record(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("SANDBOX3D_BASE_URL", raising=False)
+    bundle = _synth(tmp_path, questions=2)
+    out = tmp_path / "report"
+    argv = ["eval", "--benchmark", str(bundle / "questions.jsonl"), "--vlm", "http"]
+    assert main([*argv, "--out", str(out)]) == 2
+    assert "config error: VLM base URL not configured" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_eval_bad_config_file_exits_2(tmp_path, capsys):
     bundle = _synth(tmp_path, questions=1)
     ini = tmp_path / "bad.ini"

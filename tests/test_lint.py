@@ -79,10 +79,19 @@ def test_only_image_io_hashes_pixels():
 
 def test_only_pipeline_schedules_on_threads():
     # run_eval's executor is the one scheduler: it bounds the scenes an eval
-    # holds, which a second pool elsewhere would not respect
+    # holds, which a second pool elsewhere would not respect; and it builds
+    # its pool at one site, so no parallelism takes another schedule
     importers = sorted(
         p.name
         for p in SRC.glob("*.py")
         if "concurrent" in _imported_modules(p.read_text(encoding="utf-8"))
     )
     assert importers == ["pipeline.py"]
+    pools = [
+        (p.name, node.lineno)
+        for p in SRC.glob("*.py")
+        for node in ast.walk(ast.parse(p.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and ast.unparse(node.func).split(".")[-1] == "ThreadPoolExecutor"
+    ]
+    assert len(pools) == 1, pools

@@ -179,6 +179,11 @@ def test_config_unknown_key_rejected(tmp_path):
         config_from_ini(_write_ini(tmp_path, "[pipeline]\nspeed = fast\n"))
 
 
+def test_config_unknown_vlm_rejected(tmp_path):
+    with pytest.raises(ConfigError, match="unknown vlm provider 'scripted'"):
+        config_from_ini(_write_ini(tmp_path, "[pipeline]\nvlm = scripted\n"))
+
+
 def test_config_bad_value_rejected(tmp_path):
     with pytest.raises(ConfigError, match="bad value"):
         config_from_ini(_write_ini(tmp_path, "[trajectory]\nm = three\n"))
@@ -1488,7 +1493,7 @@ def test_run_eval_runs_one_scene_siblings_at_once(monkeypatch, tmp_path):
     assert timeline.peak >= 2
 
 
-@pytest.mark.parametrize("parallelism", [2, 4])
+@pytest.mark.parametrize("parallelism", [1, 2, 4])
 @pytest.mark.parametrize("raiser", [1, 4])  # scene B's first record; a sibling in scene A
 def test_run_eval_leaves_with_a_worker_base_exception(monkeypatch, tmp_path, parallelism, raiser):
     records = _two_scenes_interleaved()
@@ -1506,6 +1511,27 @@ def test_run_eval_leaves_with_a_worker_base_exception(monkeypatch, tmp_path, par
         _eval_within(cfg, _bench_path(tmp_path, records))
     assert caught.value.code == 3
     assert set(threading.enumerate()) <= before  # every pool worker has exited
+
+
+def test_run_eval_runs_one_worker_on_the_calling_thread(monkeypatch, tmp_path):
+    # one scene after another, in the same loop as a pool but starting no thread
+    records = _two_scenes_interleaved()
+    ran = []
+    real_run = pipeline.run_pipeline
+
+    def run(config, providers, question, choices, qid="", out_dir=None):
+        ran.append((qid, threading.get_ident()))
+        return real_run(config, providers, question, choices, qid=qid, out_dir=out_dir)
+
+    def start(thread):
+        raise AssertionError(f"{thread.name} started")
+
+    monkeypatch.setattr(pipeline, "run_pipeline", run)
+    monkeypatch.setattr(threading.Thread, "start", start)
+    cfg = PipelineConfig(mode="mv_only", vlm="random_mock", parallelism=1)
+    assert run_eval(cfg, _bench_path(tmp_path, records)).failed == ()
+    grouped = records[0::2] + records[1::2]
+    assert ran == [(r.qid, threading.get_ident()) for r in grouped]
 
 
 def _bundle_benchmark(tmp_path, sp, scenes, questions):
@@ -1546,9 +1572,17 @@ class _LiveBundles:
             self.alive[path] -= 1
 
 
-@pytest.mark.parametrize("parallelism", [1, 2, 4])
-def test_run_eval_holds_at_most_parallelism_bundles(monkeypatch, tmp_path, sp, parallelism):
+@pytest.mark.parametrize(
+    "parallelism, layout",
+    [pytest.param(p, "grouped", id=str(p)) for p in (1, 2, 4)]
+    + [pytest.param(p, "interleaved", id=f"interleaved-{p}") for p in (1, 2, 4)],
+)
+def test_run_eval_holds_at_most_parallelism_bundles(
+    monkeypatch, tmp_path, sp, parallelism, layout
+):
     records = _bundle_benchmark(tmp_path, sp, scenes=6, questions=3)
+    if layout == "interleaved":
+        records = _interleaved(records, 3)
     live = _LiveBundles(monkeypatch)
     _Timeline(monkeypatch)  # records take a while, so scenes held too long overlap
     cfg = PipelineConfig(mode="mv_only", vlm="random_mock", parallelism=parallelism)
@@ -1681,3 +1715,9 @@ def test_scene_cache_releases_bundles_but_keeps_synthetic_scenes(tmp_path, sp):
         again = cache.providers_for(record, 1)
         assert (again.scene is first.scene) == (record is synthetic)
     cache.release(_bundle_record(tmp_path / "never-loaded"))  # nothing to drop
+    # two specs naming one bundle are two scenes: releasing one keeps the other
+    twin = dataclasses.replace(bundle, scene={**bundle.scene, "note": "twin"})
+    kept = cache.providers_for(twin, 2).scene
+    cache.providers_for(bundle, 3)
+    cache.release(bundle)
+    assert cache.providers_for(twin, 4).scene is kept
