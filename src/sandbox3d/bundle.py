@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import BundleFormatError
+from .errors import BundleFormatError, loads_json
 from .image_io import freeze, read_depth_raw, read_image, write_depth_raw, write_image
 from .scene_model import (
     CameraIntrinsics,
@@ -128,7 +128,7 @@ def load_bundle(path) -> SceneBundle:
     if not manifest_path.is_file():
         raise BundleFormatError(f"manifest.json: not found under {root}")
     try:
-        manifest = json.loads(manifest_path.read_text())
+        manifest = loads_json(manifest_path.read_text())
     except (OSError, ValueError) as err:  # unreadable, not UTF-8, or not JSON
         raise BundleFormatError(f"manifest.json: {err}") from err
     if not isinstance(manifest, dict):

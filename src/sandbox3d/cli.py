@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .bundle import load_bundle, write_bundle
-from .errors import BundleFormatError, ConfigError, GenerationError, ProviderError
+from .errors import BundleFormatError, ConfigError, GenerationError, ProviderError, loads_json
 from .pipeline import (
     MODES,
     VLMS,
@@ -68,7 +68,7 @@ def _vlm_from_config(config: PipelineConfig, encode_png):
 
 def _read_question(path: str) -> tuple[str, list[str], str]:
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        data = loads_json(Path(path).read_text(encoding="utf-8"))
     except (OSError, ValueError) as err:
         raise ConfigError(f"question file: {err}") from err
     question = data.get("question")
@@ -150,7 +150,7 @@ def _cmd_eval(args) -> int:
 
 def _boxes_from_json(path: str) -> SandboxScene:
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        data = loads_json(Path(path).read_text(encoding="utf-8"))
     except (OSError, ValueError) as err:
         raise ConfigError(f"sandbox file: {err}") from err
     raw_boxes = data.get("boxes")

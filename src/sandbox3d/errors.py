@@ -1,10 +1,36 @@
-"""Exception taxonomy shared across the package.
+"""Exception taxonomy shared across the package, and its one JSON decode.
 
 Every error raised on a contract boundary derives from Sandbox3dError so
-callers can catch the family without enumerating modules.
+callers can catch the family without enumerating modules. Every JSON
+document the package reads is decoded by `loads_json` or `raw_decode_json`,
+so a document nested too deeply for the decoder fails as the ValueError of
+any other malformed document, which each reader names, never as a bare
+RecursionError.
 """
 
 from __future__ import annotations
+
+import json
+
+_DECODER = json.JSONDecoder()
+
+
+def loads_json(text: str):
+    """`json.loads(text)`; nesting beyond the decoder's depth is a ValueError."""
+    try:
+        return json.loads(text)
+    except RecursionError as err:
+        raise ValueError("JSON nested too deeply to decode") from err
+
+
+def raw_decode_json(text: str, start: int) -> tuple[object, int]:
+    """`JSONDecoder().raw_decode(text, start)`: the value that begins at
+    `start` and the index after it; nesting beyond the decoder's depth is a
+    ValueError."""
+    try:
+        return _DECODER.raw_decode(text, start)
+    except RecursionError as err:
+        raise ValueError("JSON nested too deeply to decode") from err
 
 
 class Sandbox3dError(Exception):

@@ -23,9 +23,9 @@ and answer queries, degrade decisions, question-level artifacts and
 `pointcloud_render`'s dense cloud run for every question.
 
 A scene is its spec's `scene_id`, the spec as canonical JSON. `run_eval`
-builds each scene's providers and context once (per views directory). It
-keeps a synthetic scene's until it returns, and drops a bundle scene's, whose
-decoded frames and masks are large, once the last of the scene's records has
+builds each scene's providers and context once (per views directory), and
+drops them (a synthetic scene's rig views, a bundle's decoded frames and
+masks, the sandboxes and renders) once the last of the scene's records has
 finished. One `PngMemo` for all scenes and the HTTP client, built before any
 record runs, live until it returns. With `eval_artifacts`, a scene's views
 go to `<out>/scenes/<n>/<motion>/`, `<n>` numbering the distinct scenes in
@@ -45,7 +45,7 @@ flights above. The next scene opens only while fewer tasks are outstanding
 than there are workers, so open scenes' siblings run before new scenes and
 no worker idles while a scene waits. Every open scene has a task
 outstanding, so at most `parallelism` scenes are open, and with the release
-above an eval holds at most that many bundle scenes. Rows stay in benchmark
+above an eval holds at most that many scenes. Rows stay in benchmark
 order. The cost: a one-scene eval runs its first record alone. With one
 worker each task runs at once on the calling thread, so a scene's records
 run together and no thread starts.
@@ -472,7 +472,8 @@ class SceneContext:
     `sandbox3d run`, every HTTP image part). The images the scene owns (rig
     views, bundle frames and the sandbox renders) are frozen where they are
     made, so the memo and the prompt transcript hash each one once for all
-    the scene's questions. `views_dir` picks the layout of
+    the scene's questions; so are `pointcloud_render`'s per-question renders,
+    hashed once for their record. `views_dir` picks the layout of
     stages 1-3's view artifacts: with None they go into each record's own
     tree, the input view before the direction query; with a directory they
     are written once per motion into `views_dir/<motion>`, and each record
@@ -552,11 +553,10 @@ class SceneCache:
     """Scene-side state shared across an eval's records: one entry per
     (`scene_id`, views directory), made once, holding the scene's
     `ProviderSet` less its VLM, with a `SceneContext` on the eval's
-    `PngMemo`, and the rig the geometry mock reads (None for a bundle). A
-    bundle scene's entry goes when `release` is called for it; a synthetic
-    scene's stays as long as the cache. With `vlm = http` the one client
-    every record shares is built here, so a missing endpoint raises
-    `ConfigError` before any record runs."""
+    `PngMemo`, and the rig the geometry mock reads (None for a bundle). An
+    entry goes when `release` is called for it, whatever the scene's kind.
+    With `vlm = http` the one client every record shares is built here, so
+    a missing endpoint raises `ConfigError` before any record runs."""
 
     def __init__(self, config: PipelineConfig):
         self.config = config
@@ -597,12 +597,9 @@ class SceneCache:
         return dataclasses.replace(providers, vlm=self._vlm_for(record, index, rig))
 
     def release(self, record: QARecord, views_dir: Path | None = None) -> None:
-        """Forget the record's scene if it is a bundle, whose decoded frames
-        and masks are large; a later `providers_for` loads it again. A
-        synthetic scene is kept: releasing those measured slower, since the
-        next scene faults the trimmed heap back in."""
-        if record.scene.get("kind") == "bundle":
-            self._scenes.drop((scene_id(record.scene), views_dir))
+        """Forget the record's scene, whatever its kind; a later
+        `providers_for` loads it again."""
+        self._scenes.drop((scene_id(record.scene), views_dir))
 
     def _vlm_for(self, record: QARecord, index: int, rig: SyntheticRig | None):
         if self.config.vlm == "random_mock":
@@ -730,17 +727,21 @@ def _stepback(input_view: ViewFrame, config: PipelineConfig) -> PerspectiveCamer
 
 
 def _point_renders(cloud, labels, config, input_view, up_axis) -> tuple[RenderedView, ...]:
-    """Step-back and top-down splats of `cloud`, legend ids per `labels`."""
+    """Step-back and top-down splats of `cloud`, legend ids per `labels`,
+    frozen (see `SceneContext`)."""
     cameras = (
         _stepback(input_view, config),
         topdown_camera_for_points(cloud.xyz, input_view.pose, up_axis),
     )
-    return tuple(
+    renders = tuple(
         render_points(
             cloud, cam, config.style, labels=labels, origin=input_view.pose, up_axis=up_axis
         )
         for cam in cameras
     )
+    for render in renders:
+        freeze(render.image)
+    return renders
 
 
 def build_scene_sandbox(
@@ -802,13 +803,13 @@ def build_scene_sandbox(
                 render_boxes(scene, _stepback(input_view, config), config.style),
                 render_boxes(scene, topdown_camera(scene), config.style),
             )
+            for render in renders:
+                freeze(render.image)
     if config.mode == "proxy_render":
         merged = merge_clouds(kept.values())
         if len(merged):
             labels = {h.object_id: h.label for h in hints}
             renders = _point_renders(merged, labels, config, input_view, up_axis)
-    for render in renders:
-        freeze(render.image)
     return SceneSandbox(scene, empty_error, counts, skipped, renders, coords_text)
 
 
@@ -1141,8 +1142,8 @@ def run_eval(config: PipelineConfig, benchmark_path, out_dir=None) -> RunReport:
     unfinished = {n: len(g) for n, g in scenes.items()}
 
     def finished(index: int) -> None:
-        """On the calling thread, after each record: frees a bundle scene
-        once the last of its records is done."""
+        """On the calling thread, after each record: frees a scene once the
+        last of its records is done."""
         n = scene_of[index]
         unfinished[n] -= 1
         if not unfinished[n]:

@@ -36,6 +36,8 @@ from .errors import (
     MissingViewError,
     ObjectNotFoundError,
     ProviderError,
+    loads_json,
+    raw_decode_json,
 )
 from .image_io import freeze, image_digest, png_bytes
 from .proxy_elevation import ObjectHint
@@ -56,7 +58,7 @@ from .synthetic_world import (
     image_from_stack,  # noqa: F401  perfbench's tracer patches this module's binding
     instance_depths,
     mask_from_stack,  # noqa: F401  perfbench's tracer patches this module's binding
-    nearest_from_stack,
+    render_nearest,
 )
 
 # Marker phrases the prompt templates must contain; mock VLMs key on them to
@@ -145,8 +147,8 @@ class _RigView:
 class SyntheticRig:
     """Shared per-world cache of analytic views, keyed by pose.
 
-    Rendering a view costs one windowed ray-slab pass per cuboid. The
-    (k+1, h, w) hit-depth stack is reduced once to the depth and a
+    Rendering a view is one pass (`render_nearest`): each cuboid's windowed
+    ray-slab hits, then the ground's, are folded into the depth and a
     nearest-instance raster, and the image is gathered from the world's
     color table; every consumer of the same pose (frames, hint lookups,
     every instance mask) reads those.
@@ -159,7 +161,8 @@ class SyntheticRig:
         self._lock = threading.Lock()
 
     def stack(self, pose: CameraPose) -> np.ndarray:
-        """Render the hit-depth stack of one pose (uncached)."""
+        """The layered hit-depth stack of one pose (uncached); views do not
+        use it. Kept as a traced name of perfbench."""
         return instance_depths(self.world, pose, self.world.input_intrinsics)
 
     def _view(self, pose: CameraPose) -> _RigView:
@@ -168,7 +171,7 @@ class SyntheticRig:
             hit = self._views.get(key)
         if hit is not None:
             return hit
-        depth, nearest = nearest_from_stack(self.stack(pose))
+        depth, nearest = render_nearest(self.world, pose, self.world.input_intrinsics)
         image = freeze(self._colors.take(nearest, axis=0))
         nearest.flags.writeable = False
         view = _RigView(image, DepthGrid(depth), nearest)
@@ -408,12 +411,11 @@ def _positions_from_coords(text: str) -> dict[str, tuple[float, float]] | None:
     When several boxes share a label (clustering can shed small fragments of
     one object) the largest-volume instance stands for the label.
     """
-    decoder = json.JSONDecoder()
     for start in range(len(text)):
         if text[start] != "{":
             continue
         try:
-            obj, _ = decoder.raw_decode(text, start)
+            obj, _ = raw_decode_json(text, start)
         except ValueError:
             continue
         if not (isinstance(obj, dict) and isinstance(obj.get("boxes"), list)):
@@ -634,8 +636,8 @@ class HttpChatVlm:
     @staticmethod
     def _extract_text(raw: bytes) -> str:
         try:
-            data = json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as err:
+            data = loads_json(raw.decode("utf-8"))
+        except ValueError as err:  # not UTF-8, not JSON, or nested too deeply
             raise ProviderError(f"malformed JSON response: {err}") from err
         try:
             content = data["choices"][0]["message"]["content"]
@@ -664,13 +666,12 @@ def parse_object_hints(
     dropped after clamping, and ids assigned in listing order. Raises
     HintParseError when no usable array exists.
     """
-    decoder = json.JSONDecoder()
     notes: list[str] = []
     for start in range(len(raw_text)):
         if raw_text[start] != "[":
             continue
         try:
-            arr, _ = decoder.raw_decode(raw_text, start)
+            arr, _ = raw_decode_json(raw_text, start)
         except ValueError:
             continue
         if not isinstance(arr, list):

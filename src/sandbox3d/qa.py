@@ -19,6 +19,8 @@ from dataclasses import dataclass, field
 from math import atan2, degrees, hypot
 from pathlib import Path
 
+from .errors import loads_json
+
 LETTERS = "ABCDE"
 
 CATEGORIES = ("EgoM", "ObjectM", "GoalAim", "ActCons", "Perspect")
@@ -90,7 +92,7 @@ def read_benchmark(path) -> list[QARecord]:
     records = []
     for line in Path(path).read_text(encoding="utf-8").splitlines():
         if line.strip():
-            records.append(record_from_dict(json.loads(line)))
+            records.append(record_from_dict(loads_json(line)))
     return records
 
 

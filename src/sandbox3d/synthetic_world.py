@@ -13,14 +13,21 @@ bounding rectangle of its projected corners, and the window is that
 rectangle padded by one pixel, [floor(min) - 1, ceil(max) + 1], clipped to
 the raster; a cuboid whose window is empty is skipped. When any corner is
 at or behind the camera the window is the whole raster. Pixels outside the
-window keep +inf, which is what the test would give there.
+window keep +inf, which is what the test would give there. The ground's
+window is the rectangle of rows and columns that hold a ray descending in
+the world (`_ground_window`); above the horizon of a level camera no ray
+does. Ray directions are rotated into the world frame per window, and for
+the ground per band of rows, so no full (h, w, 3) direction raster is made.
 
-Background pixels are non-finite. `nearest_from_stack` picks, per pixel, the
-layer with the nearest hit: layers in index order, a later one winning only
-when strictly nearer, so ties go to the lowest index (cuboids in world order,
-then the ground), and -1 where no layer is finite. Depth, image and instance
-masks all read that one `nearest`, so masks are pairwise disjoint by
-construction.
+Background pixels are non-finite. A view is rendered in one pass
+(`render_nearest`): each cuboid's windowed hits, in index order, then the
+ground's, are folded into running depth and nearest-instance rasters, a
+later layer taking a pixel only when strictly nearer, so ties go to the
+lowest index (cuboids in world order, then the ground), and -1 where no
+layer is finite. `instance_depths` keeps every layer as a (k+1, h, w)
+stack, and `nearest_from_stack` folds a stack by the same rule, so the two
+forms agree bit for bit. Depth, image and instance masks all read that one
+`nearest`, so masks are pairwise disjoint by construction.
 """
 
 from __future__ import annotations
@@ -272,53 +279,134 @@ def _cuboid_window(
     return slice(y0, y1), slice(x0, x1)
 
 
+# Margin of the ground window's sign test: far wider than the few ulps by
+# which a computed world y can differ from its exact affine value.
+_GROUND_MARGIN = 1e-9
+
+
+def _ground_window(pose: CameraPose, dirs_cam: np.ndarray) -> tuple[slice, slice] | None:
+    """Rows and columns whose rays can descend onto the ground (world dy > 0).
+
+    A ray's world dy is affine in its camera direction, so along a row it
+    peaks at an end column, and along a column at an end row. The rows and
+    columns whose peak clears -margin form one rectangle that holds every
+    descending ray. None when no ray descends.
+    """
+    a, b, c = pose.rotation[1]  # world y of the camera's x, y and z axes
+    xs, ys = dirs_cam[0, :, 0], dirs_cam[:, 0, 1]
+    rows = np.flatnonzero(b * ys + c + max(a * xs[0], a * xs[-1]) > -_GROUND_MARGIN)
+    cols = np.flatnonzero(a * xs + c + max(b * ys[0], b * ys[-1]) > -_GROUND_MARGIN)
+    if not len(rows) or not len(cols):
+        return None
+    return slice(int(rows[0]), int(rows[-1]) + 1), slice(int(cols[0]), int(cols[-1]) + 1)
+
+
+def _slab_depths(
+    cub: CuboidSpec, axes: np.ndarray, origin: np.ndarray, d: np.ndarray
+) -> np.ndarray:
+    """Slab test of rays `origin + t d` against one cuboid, per ray in `d`
+    (world-frame directions, shape (rows, cols, 3)): the entry parameter of
+    a hit in front of the origin, else +inf."""
+    half = np.array(cub.size) / 2.0
+    oo = axes.T @ (origin - np.array(cub.center))  # ray origin, box frame
+    dd = d @ axes  # ray directions, box frame
+    tmin = np.full(dd.shape[:2], -np.inf)
+    tmax = np.full(dd.shape[:2], np.inf)
+    for a in range(3):
+        da = dd[:, :, a]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t1 = (-half[a] - oo[a]) / da
+            t2 = (half[a] - oo[a]) / da
+        lo = np.minimum(t1, t2)
+        hi = np.maximum(t1, t2)
+        parallel = da == 0.0
+        inside = abs(oo[a]) <= half[a]
+        lo = np.where(parallel, np.where(inside, -np.inf, np.inf), lo)
+        hi = np.where(parallel, np.where(inside, np.inf, -np.inf), hi)
+        tmin = np.maximum(tmin, lo)
+        tmax = np.minimum(tmax, hi)
+    hit = (tmin <= tmax) & (tmin > 0)
+    return np.where(hit, tmin, np.inf)
+
+
+# Pixels per band of ground rays: a band's world directions are a small
+# temporary, never a full (h, w, 3) raster.
+_GROUND_BAND_PX = 1 << 14
+
+
+def _layers(world: WorldSpec, pose: CameraPose, intr: CameraIntrinsics):
+    """Each instance's hit depths as `(index, window, hits)`: cuboids in
+    index order inside their windows, then the ground inside its window, in
+    bands of rows.
+
+    Directions are rotated to the world frame per window or band by the
+    same matrix product as for the whole raster, so every value is the one
+    a full (h, w, 3) direction raster would give; a matrix-vector product
+    for the ground's world y alone rounds differently.
+    """
+    dirs_cam = _pixel_dirs(intr.fx, intr.fy, intr.cx, intr.cy, intr.width, intr.height)
+    rt = pose.rotation.T
+    origin = pose.translation
+    for idx, cub in enumerate(world.cuboids):
+        axes = cub.axes()
+        window = _cuboid_window(cub, axes, pose, intr)
+        if window is not None:
+            yield idx, window, _slab_depths(cub, axes, origin, dirs_cam[window] @ rt)
+
+    # Ground plane y = 0; the camera is above it (negative y), so rays with
+    # positive world dy descend onto it.
+    window = _ground_window(pose, dirs_cam)
+    if window is None:
+        return
+    rows, cols = window
+    band = max(1, _GROUND_BAND_PX // (cols.stop - cols.start))
+    for y in range(rows.start, rows.stop, band):
+        part = slice(y, min(y + band, rows.stop)), cols
+        dy = (dirs_cam[part] @ rt)[:, :, 1]
+        hits = np.full(dy.shape, np.inf)
+        np.divide(-origin[1], dy, out=hits, where=dy > 0)
+        hits[hits <= 0] = np.inf
+        yield len(world.cuboids), part, hits
+
+
 def instance_depths(world: WorldSpec, pose: CameraPose, intr: CameraIntrinsics) -> np.ndarray:
     """Per-instance hit depth stack, shape (k+1, h, w); the ground is last.
 
     Entries are camera-frame Z of the nearest intersection with that instance
-    alone, +inf where the ray misses it. Each cuboid's slab test runs only
-    inside its window (`_cuboid_window`); every pixel outside it stays +inf.
+    alone, +inf where the ray misses it. Each instance's test runs only
+    inside its window (`_cuboid_window`, `_ground_window`); every pixel
+    outside it stays +inf. The layered form of `render_nearest`.
     """
-    dirs_cam = _pixel_dirs(intr.fx, intr.fy, intr.cx, intr.cy, intr.width, intr.height)
-    d_world = dirs_cam @ pose.rotation.T  # (h, w, 3)
-    origin = pose.translation
-    h, w = intr.height, intr.width
-    out = np.full((len(world.cuboids) + 1, h, w), np.inf)
-
-    for idx, cub in enumerate(world.cuboids):
-        axes = cub.axes()
-        window = _cuboid_window(cub, axes, pose, intr)
-        if window is None:
-            continue
-        half = np.array(cub.size) / 2.0
-        oo = axes.T @ (origin - np.array(cub.center))  # ray origin, box frame
-        dd = d_world[window] @ axes  # ray directions, box frame
-        tmin = np.full(dd.shape[:2], -np.inf)
-        tmax = np.full(dd.shape[:2], np.inf)
-        for a in range(3):
-            da = dd[:, :, a]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                t1 = (-half[a] - oo[a]) / da
-                t2 = (half[a] - oo[a]) / da
-            lo = np.minimum(t1, t2)
-            hi = np.maximum(t1, t2)
-            parallel = da == 0.0
-            inside = abs(oo[a]) <= half[a]
-            lo = np.where(parallel, np.where(inside, -np.inf, np.inf), lo)
-            hi = np.where(parallel, np.where(inside, np.inf, -np.inf), hi)
-            tmin = np.maximum(tmin, lo)
-            tmax = np.minimum(tmax, hi)
-        hit = (tmin <= tmax) & (tmin > 0)
-        out[idx][window] = np.where(hit, tmin, np.inf)
-
-    # Ground plane y = 0; the camera is above it (negative y), so rays with
-    # positive world dy descend onto it. Written in place: full-raster
-    # temporaries cost more than the division.
-    dy = d_world[:, :, 1]
-    ground = out[-1]
-    np.divide(-origin[1], dy, out=ground, where=dy > 0)
-    ground[ground <= 0] = np.inf
+    out = np.full((len(world.cuboids) + 1, intr.height, intr.width), np.inf)
+    for idx, window, hits in _layers(world, pose, intr):
+        out[idx][window] = hits
     return out
+
+
+def _fold_nearest(layers, shape: tuple[int, int], count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Fold `(index, window, hits)` layers, in the order given, into the
+    nearest depth and the index that holds it: a layer takes a pixel only
+    when strictly nearer, so ties go to the earliest; -1 where nothing is
+    finite. `nearest`'s dtype is the smallest signed integer that holds
+    `count` indices."""
+    depth = np.full(shape, np.inf)
+    nearest = np.zeros(shape, dtype=np.min_scalar_type(-count))
+    for index, window, hits in layers:
+        closer = hits < depth[window]
+        np.copyto(depth[window], hits, where=closer)
+        np.copyto(nearest[window], index, where=closer)
+    nearest[~np.isfinite(depth)] = -1
+    return depth, nearest
+
+
+def render_nearest(
+    world: WorldSpec, pose: CameraPose, intr: CameraIntrinsics
+) -> tuple[np.ndarray, np.ndarray]:
+    """`nearest_from_stack(instance_depths(world, pose, intr))` in one pass:
+    each layer's windowed hits are folded in as they are made, so no stack
+    is allocated."""
+    shape = (intr.height, intr.width)
+    return _fold_nearest(_layers(world, pose, intr), shape, len(world.cuboids) + 1)
 
 
 def nearest_from_stack(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -329,15 +417,8 @@ def nearest_from_stack(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     where no layer is finite (the sky); its dtype is the smallest signed
     integer that holds the layer count.
     """
-    depth = stack[0].copy()
-    nearest = np.zeros(depth.shape, dtype=np.min_scalar_type(-len(stack)))
-    closer = np.empty(depth.shape, dtype=bool)
-    for i in range(1, len(stack)):
-        np.less(stack[i], depth, out=closer)
-        np.copyto(depth, stack[i], where=closer)
-        np.copyto(nearest, i, where=closer)
-    nearest[~np.isfinite(depth)] = -1
-    return depth, nearest
+    layers = ((i, (slice(None), slice(None)), layer) for i, layer in enumerate(stack))
+    return _fold_nearest(layers, stack.shape[1:], len(stack))
 
 
 def color_table(world: WorldSpec) -> np.ndarray:

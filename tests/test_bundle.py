@@ -299,6 +299,14 @@ def test_bundle_manifest_that_is_not_utf8_is_named(tmp_path):
         load_bundle(root)
 
 
+def test_bundle_manifest_nested_too_deeply_is_named(tmp_path):
+    root = tmp_path / "b"
+    write_bundle(root, [_frame(ViewId(-1, -1), 0)], scene_id="s")
+    (root / "manifest.json").write_text("[" * 50000, encoding="utf-8")
+    with pytest.raises(BundleFormatError, match="manifest.json: JSON nested too deeply"):
+        load_bundle(root)
+
+
 # ── Seeded manifest fuzz ───────────────────────────────────────────────────
 
 _ODD_VALUES = (

@@ -318,6 +318,33 @@ def test_render_topdown_and_stepback(tmp_path, capsys):
     assert "Scale:" not in stdout  # perspective legend carries no scale line
 
 
+def test_run_question_file_nested_too_deeply_is_config_error(tmp_path, capsys):
+    bundle = _synth(tmp_path, questions=0)
+    qfile = tmp_path / "q.json"
+    qfile.write_text("[" * 50000, encoding="utf-8")
+    code = main(
+        ["run", "--bundle", str(bundle), "--question", str(qfile), "--vlm", "random_mock"]
+    )
+    assert code == 2
+    assert "config error: question file: JSON nested too deeply" in capsys.readouterr().err
+
+
+def test_render_sandbox_file_nested_too_deeply_is_config_error(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 50000, encoding="utf-8")
+    argv = ["render", "--sandbox", str(deep), "--view", "topdown", "--out", str(tmp_path / "x.png")]
+    code = main(argv)
+    assert code == 2
+    assert "config error: sandbox file: JSON nested too deeply" in capsys.readouterr().err
+
+
+def test_eval_benchmark_nested_too_deeply_exits_2(tmp_path, capsys):
+    bench = tmp_path / "deep.jsonl"
+    bench.write_text("[" * 50000 + "\n", encoding="utf-8")
+    assert main(["eval", "--benchmark", str(bench), "--vlm", "random_mock"]) == 2
+    assert "config error: benchmark: JSON nested too deeply" in capsys.readouterr().err
+
+
 def test_render_rejects_bad_boxes(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"boxes": "nope"}), encoding="utf-8")

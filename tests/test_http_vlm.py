@@ -279,3 +279,12 @@ def test_malformed_response_raises(stub_server):
     _StubHandler.script = [(200, b"{}")]
     with pytest.raises(ProviderError, match="choices"):
         _client(stub_server).complete([ChatTurn("user", (TextPart("q"),))])
+
+
+def test_response_nested_too_deeply_is_malformed_json(stub_server):
+    deep = b"[" * 50000
+    with pytest.raises(ProviderError, match="malformed JSON response"):
+        HttpChatVlm._extract_text(deep)
+    _StubHandler.script = [(200, deep)]
+    with pytest.raises(ProviderError, match="malformed JSON response"):
+        _client(stub_server).complete([ChatTurn("user", (TextPart("q"),))])

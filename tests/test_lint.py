@@ -95,3 +95,65 @@ def test_only_pipeline_schedules_on_threads():
         and ast.unparse(node.func).split(".")[-1] == "ThreadPoolExecutor"
     ]
     assert len(pools) == 1, pools
+
+
+_JSON_DECODES = {"loads", "load", "raw_decode", "JSONDecoder"}
+
+
+def _json_decode_calls(source: str) -> list[tuple[int, str]]:
+    """(line, callee) of each call that decodes JSON directly: `json.loads`,
+    `json.load`, a `JSONDecoder` or its `raw_decode`, or a name imported
+    from `json` for one of those."""
+    tree = ast.parse(source)
+    from_json = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "json"
+        for alias in node.names
+        if alias.name in _JSON_DECODES
+    }
+    calls = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Attribute) and (
+            func.attr == "raw_decode"
+            or (ast.unparse(func.value) == "json" and func.attr in _JSON_DECODES)
+        ):
+            calls.append((node.lineno, ast.unparse(func)))
+        elif isinstance(func, ast.Name) and func.id in from_json:
+            calls.append((node.lineno, func.id))
+    return sorted(calls)
+
+
+def test_json_decode_check_flags_every_direct_decode():
+    source = (
+        "import json\n"
+        "from json import loads as parse\n"
+        "a = json.loads(s)\n"
+        "b = json.load(f)\n"
+        "c = json.JSONDecoder().raw_decode(s, 0)\n"
+        "d = parse(s)\n"
+        "e = json.dumps(a)\n"
+        "f = loads_json(s)\n"
+    )
+    assert _json_decode_calls(source) == [
+        (3, "json.loads"),
+        (4, "json.load"),
+        (5, "json.JSONDecoder"),
+        (5, "json.JSONDecoder().raw_decode"),
+        (6, "parse"),
+    ]
+
+
+def test_only_errors_decodes_json():
+    # errors.loads_json and errors.raw_decode_json turn the decoder's
+    # RecursionError into the ValueError every reader names; a direct decode
+    # elsewhere would let a deeply nested document escape as RecursionError
+    found = {
+        p.name: calls
+        for p in sorted(SRC.glob("*.py"))
+        if (calls := _json_decode_calls(p.read_text(encoding="utf-8")))
+    }
+    assert sorted(found) == ["errors.py"]

@@ -15,7 +15,7 @@ import pytest
 
 from sandbox3d import pipeline
 from sandbox3d.bundle import write_bundle
-from sandbox3d.errors import BundleFormatError, ConfigError
+from sandbox3d.errors import BundleFormatError, ConfigError, HintParseError
 from sandbox3d.pipeline import (
     MODES,
     PipelineConfig,
@@ -38,6 +38,7 @@ from sandbox3d.providers import (
     ScriptedVlm,
     SyntheticSceneProvider,
     TextPart,
+    parse_object_hints,
 )
 from sandbox3d.qa import QARecord, write_benchmark
 from sandbox3d.scene_model import (
@@ -535,6 +536,18 @@ def test_hint_parse_failure_degrades_to_mv_only(tmp_path, sp):
     assert not (tmp_path / "sandbox.json").exists()
 
 
+def test_hints_nested_too_deeply_degrade_to_mv_only(sp):
+    # the decoder's depth limit is a hint parse failure, not a RecursionError
+    reply = "[" * 1000
+    with pytest.raises(HintParseError):
+        parse_object_hints(reply, 256, 256)
+    vlm = ScriptedVlm(["forward", reply, "<answer> A </answer>"])
+    result = run_pipeline(_CFG, _providers(sp, vlm), QUESTION, CHOICES)
+    assert result.error is None and result.answer == "A"
+    assert result.mode_used == "mv_only"
+    assert [d for d in result.degradations if d.startswith("hint parse failed")]
+
+
 @pytest.mark.parametrize("x", ["1e999", "NaN", "-Infinity"])
 def test_non_finite_hint_coordinates_degrade_to_mv_only(sp, x):
     reply = '[{"label": "%s", "x": %s, "y": 2}]' % (sp.world.cuboids[0].label, x)
@@ -715,6 +728,13 @@ def test_run_eval_rejects_empty_or_missing_benchmark(tmp_path):
         run_eval(PipelineConfig(vlm="random_mock"), empty)
     with pytest.raises(ConfigError, match="benchmark"):
         run_eval(PipelineConfig(vlm="random_mock"), tmp_path / "absent.jsonl")
+
+
+def test_run_eval_names_a_benchmark_line_nested_too_deeply(tmp_path):
+    path = tmp_path / "deep.jsonl"
+    path.write_text("[" * 50000 + "\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match="benchmark: JSON nested too deeply"):
+        run_eval(PipelineConfig(vlm="random_mock"), path)
 
 
 def test_run_eval_writes_per_record_artifacts(tmp_path):
@@ -1596,6 +1616,58 @@ def test_run_eval_holds_at_most_parallelism_bundles(
     assert 1 <= live.peak <= parallelism
 
 
+class _LiveRigs:
+    """Each synthetic scene built and the rigs alive at once, a rig counted
+    until it dies."""
+
+    def __init__(self, monkeypatch):
+        self.seeds: list[int] = []
+        self.alive = self.peak = 0
+        self._lock = threading.Lock()
+        real = pipeline.SyntheticSceneProvider
+
+        def build(world):
+            sp_ = real(world)
+            with self._lock:
+                self.seeds.append(world.seed)
+                self.alive += 1
+                self.peak = max(self.peak, self.alive)
+            weakref.finalize(sp_.rig, self._died)
+            return sp_
+
+        monkeypatch.setattr(pipeline, "SyntheticSceneProvider", build)
+
+    def _died(self):
+        with self._lock:
+            self.alive -= 1
+
+
+@pytest.mark.parametrize(
+    "parallelism, layout",
+    [pytest.param(p, "grouped", id=str(p)) for p in (1, 2, 4)]
+    + [pytest.param(p, "interleaved", id=f"interleaved-{p}") for p in (1, 2, 4)],
+)
+def test_run_eval_holds_at_most_parallelism_synthetic_scenes(
+    monkeypatch, tmp_path, parallelism, layout
+):
+    records = build_benchmark(18, questions_per_world=3)
+    assert len({r.scene["seed"] for r in records}) == 6
+    if layout == "interleaved":
+        records = _interleaved(records, 3)
+    live = _LiveRigs(monkeypatch)
+    _Timeline(monkeypatch)  # records take a while, so scenes held too long overlap
+    cfg = PipelineConfig(mode="mv_only", vlm="random_mock", parallelism=parallelism)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # interleave the workers and the scheduler finely
+    try:
+        assert _eval_within(cfg, _bench_path(tmp_path, records)).failed == ()
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(live.seeds) == sorted({r.scene["seed"] for r in records})  # once each
+    assert 1 <= live.peak <= parallelism
+    assert live.alive == 0
+
+
 def test_run_eval_opens_a_scene_only_when_no_sibling_waits(monkeypatch, tmp_path):
     # once a scene's first record has returned, its siblings are ready, and
     # no later scene's first record may start before all of them have;
@@ -1704,16 +1776,18 @@ def test_run_eval_releases_a_bundle_after_its_last_record(
     assert sorted(live.loads) == paths
 
 
-def test_scene_cache_releases_bundles_but_keeps_synthetic_scenes(tmp_path, sp):
+def test_scene_cache_releases_every_scene(tmp_path, sp):
     bundle = _bundle_record(tmp_path / "scene")
     write_bundle(tmp_path / "scene", [sp.input_view()], {})
     synthetic = _one_scene(1)[0]
     cache = SceneCache(PipelineConfig(vlm="random_mock"))
     for record in (bundle, synthetic):
         first = cache.providers_for(record, 0)
+        assert cache.providers_for(record, 1).scene is first.scene  # held until released
         cache.release(record)
-        again = cache.providers_for(record, 1)
-        assert (again.scene is first.scene) == (record is synthetic)
+        again = cache.providers_for(record, 2)
+        assert again.scene is not first.scene  # whatever the scene's kind
+        assert again.generator is not first.generator
     cache.release(_bundle_record(tmp_path / "never-loaded"))  # nothing to drop
     # two specs naming one bundle are two scenes: releasing one keeps the other
     twin = dataclasses.replace(bundle, scene={**bundle.scene, "note": "twin"})

@@ -185,6 +185,23 @@ def test_run_eval_hashes_each_scene_image_once(monkeypatch, tmp_path, bundle, st
     _assert_urls_encode_their_pixels(_Handler.images, tmp_path)
 
 
+@pytest.mark.parametrize("parallelism", [1, 2])
+def test_run_eval_hashes_each_pointcloud_render_once(
+    monkeypatch, tmp_path, bundle, stub, parallelism
+):
+    cfg, path = _eval_setup(tmp_path, bundle, stub, parallelism)
+    cfg = dataclasses.replace(cfg, mode="pointcloud_render")
+    hashes = _count_hashes(monkeypatch)
+    report = run_eval(cfg, path, out_dir=tmp_path / "eval")
+    assert report.failed == () and all(r.mode_used == "pointcloud_render" for r in report.rows)
+    # per question: the input view, then it and the two renders
+    assert len(_Handler.images) == 5 * 4
+    # the scene's 13 views once for all 5 questions, and each question's two
+    # renders once for the artifact, the prompt transcript and the request
+    assert 0 < len(hashes) <= 13 + 5 * 2
+    _assert_urls_encode_their_pixels(_Handler.images, tmp_path)
+
+
 def test_run_eval_leaves_no_cycle_through_its_cache(monkeypatch, tmp_path, bundle, stub):
     refs = []
     contexts = []

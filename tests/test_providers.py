@@ -40,6 +40,7 @@ from sandbox3d.synthetic_world import (
     image_from_stack,
     instance_depths,
     mask_from_stack,
+    render_nearest,
 )
 from sandbox3d.trajectory_control import AbstractMotion, instantiate_trajectories
 
@@ -199,11 +200,15 @@ def test_rig_renders_each_pose_once_and_reduces_it_exactly(monkeypatch):
     intr = world.input_intrinsics
     renders = []
 
-    def counting_instance_depths(w, pose, i):
+    def counting_render(w, pose, i):
         renders.append(pose)
-        return instance_depths(w, pose, i)
+        return render_nearest(w, pose, i)
 
-    monkeypatch.setattr(providers, "instance_depths", counting_instance_depths)
+    def no_stack(*args):
+        raise AssertionError("the rig renders a view without the layered stack")
+
+    monkeypatch.setattr(providers, "render_nearest", counting_render)
+    monkeypatch.setattr(providers, "instance_depths", no_stack)
     rig = SyntheticRig(world)
     spec = instantiate_trajectories(AbstractMotion.LEFT, 1, 3, 0.25)[0]
     poses = [world.input_pose, *(world.input_pose.compose(rel) for rel in spec.poses)]

@@ -29,6 +29,7 @@ from sandbox3d.synthetic_world import (
     GenerationError,
     WorldBounds,
     WorldSpec,
+    _ground_window,
     _pixel_dirs,
     bounds_from_dict,
     bounds_to_dict,
@@ -43,6 +44,7 @@ from sandbox3d.synthetic_world import (
     mask_from_stack,
     nearest_from_stack,
     oracle_answer,
+    render_nearest,
 )
 from sandbox3d.trajectory_control import AbstractMotion, instantiate_trajectories
 
@@ -418,6 +420,10 @@ def test_windowed_render_matches_full_raster_reference():
         assert np.array_equal(depth, ref_depth), n
         assert np.array_equal(depth_from_stack(stack).values, ref_depth), n
         assert np.array_equal(nearest, ref_nearest), n
+        one_pass = render_nearest(world, pose, intr)  # the rig's render: no stack
+        assert np.array_equal(one_pass[0], ref_depth), n
+        assert np.array_equal(one_pass[1], ref_nearest), n
+        assert (one_pass[0].dtype, one_pass[1].dtype) == (depth.dtype, nearest.dtype), n
         ties += np.count_nonzero(np.isfinite(ref_depth) & ((ref == ref_depth).sum(axis=0) > 1))
         assert np.array_equal(image_from_stack(world, stack), _ref_image_from_stack(world, ref)), n
         for i in range(len(world.cuboids) + 1):  # _ref_mask_from_stack, one argmin per case
@@ -428,6 +434,35 @@ def test_windowed_render_matches_full_raster_reference():
     assert len(cases) > 200
     assert straddling > 10  # the full-window fallback drew visible hits
     assert ties > 1000  # pixels where two layers share the nearest depth
+
+
+def test_ground_window_is_what_lies_below_a_level_horizon():
+    world = _world_with_k(3)
+    intr = world.input_intrinsics
+    dirs = _pixel_dirs(intr.fx, intr.fy, intr.cx, intr.cy, intr.width, intr.height)
+    # cy = 128: the rows from the horizon (world dy 0, inside the margin)
+    # down, every column; pitched up 80 degrees, no ray descends
+    assert _ground_window(world.input_pose, dirs) == (slice(128, 256), slice(0, 256))
+    assert _ground_window(_look(world.input_pose.translation, 0.0, 80.0), dirs) is None
+
+
+def test_one_pass_render_matches_the_reference_at_1080p():
+    # the input pose and each motion's fan of three first steps, at 1920x1080
+    world = _world_with_k(3, default_intrinsics(1920, 1080))
+    intr = world.input_intrinsics
+    poses = {}
+    for pose in [world.input_pose, *_trajectory_poses(world, 3, 1)]:
+        poses.setdefault(pose.rotation.tobytes() + pose.translation.tobytes(), pose)
+    assert len(poses) > 10  # fans share some poses: forward's three headings coincide
+    for n, pose in enumerate(poses.values()):
+        ref = _ref_instance_depths(world, pose, intr)
+        assert np.array_equal(instance_depths(world, pose, intr), ref), n
+        ref_depth = ref.min(axis=0)
+        ref_nearest = np.where(np.isfinite(ref_depth), np.argmin(ref, axis=0), -1)
+        depth, nearest = render_nearest(world, pose, intr)
+        assert np.array_equal(depth, ref_depth), n
+        assert np.array_equal(nearest, ref_nearest), n
+        assert (depth.dtype, nearest.dtype) == (np.float64, np.int8), n
 
 
 def test_ground_coords_camera_frame():
