@@ -714,7 +714,8 @@ def parse_answer(raw_text: str, choices: Sequence[str]) -> tuple[str, str | None
 
     Prefers the last <answer> block; otherwise falls back to the last
     non-empty line. Within the candidate text, a standalone letter wins;
-    failing that, a unique choice text contained in the candidate does.
+    failing that, a unique choice text contained in the candidate does,
+    unless that choice lies past the last letter (E).
     """
     if not choices:
         raise ValueError("choices must be non-empty")
@@ -734,11 +735,9 @@ def parse_answer(raw_text: str, choices: Sequence[str]) -> tuple[str, str | None
     letters &= set(valid)
     if len(letters) == 1:
         return letters.pop(), thinking
-    contained = [
-        valid[i] for i, choice in enumerate(choices) if choice.lower() in candidate.lower()
-    ]
-    if len(contained) == 1:
-        return contained[0], thinking
+    contained = [i for i, choice in enumerate(choices) if choice.lower() in candidate.lower()]
+    if len(contained) == 1 and contained[0] < len(valid):
+        return valid[contained[0]], thinking
     raise AnswerParseError(f"cannot extract a choice letter from {candidate!r}")
 
 

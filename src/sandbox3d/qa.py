@@ -50,6 +50,8 @@ class QARecord:
     def __post_init__(self):
         if len(self.choices) < 2:
             raise ValueError("a question needs at least two choices")
+        if len(self.choices) > len(LETTERS):
+            raise ValueError(f"a question has at most {len(LETTERS)} choices, one per letter")
         if self.gold not in LETTERS[: len(self.choices)]:
             raise ValueError(f"gold answer {self.gold!r} outside the choice letters")
         object.__setattr__(self, "choices", tuple(self.choices))

@@ -11,13 +11,17 @@ A cuboid's slab test runs only inside its window. When all eight corners
 lie in front of the camera (z > 1e-6), the cuboid projects inside the
 bounding rectangle of its projected corners, and the window is that
 rectangle padded by one pixel, [floor(min) - 1, ceil(max) + 1], clipped to
-the raster; a cuboid whose window is empty is skipped. When any corner is
-at or behind the camera the window is the whole raster. Pixels outside the
-window keep +inf, which is what the test would give there. The ground's
-window is the rectangle of rows and columns that hold a ray descending in
-the world (`_ground_window`); above the horizon of a level camera no ray
-does. Ray directions are rotated into the world frame per window, and for
-the ground per band of rows, so no full (h, w, 3) direction raster is made.
+the raster; a cuboid whose window is empty is skipped. When all eight
+corners lie behind the camera (z < -1e-6), a ray reaches a point of the
+cuboid only at t equal to that point's camera z, so no hit has t > 0 and
+the cuboid is skipped as well. Otherwise (corners on both sides of the
+camera plane, or within 1e-6 of it) the window is the whole raster.
+Pixels outside the window keep +inf, which is what the test would give
+there. The ground's window is the rectangle of rows and columns that hold
+a ray descending in the world (`_ground_window`); above the horizon of a
+level camera no ray does. Ray directions are rotated into the world frame
+per window, and for the ground per band of rows, so no full (h, w, 3)
+direction raster is made.
 
 Background pixels are non-finite. A view is rendered in one pass
 (`render_nearest`): each cuboid's windowed hits, in index order, then the
@@ -263,11 +267,14 @@ def _cuboid_window(
 ) -> tuple[slice, slice] | None:
     """Rows and columns whose rays can hit the cuboid (see the module docstring).
 
-    None when the padded rectangle misses the raster.
+    None when the padded rectangle misses the raster, or when every corner
+    lies behind the camera.
     """
     h, w = intr.height, intr.width
     cam = pose.inverse_transform(_corners(cub, axes))
     z = cam[:, 2]
+    if np.all(z < -1e-6):
+        return None
     if not np.all(z > 1e-6):
         return slice(0, h), slice(0, w)
     u = intr.fx * cam[:, 0] / z + intr.cx

@@ -15,6 +15,12 @@ joins the lowest-numbered cluster among those cores; every other point is
 noise (-1). These are the labels of the classic visit-in-index-order,
 breadth-first expansion in which a border point joins the first cluster to
 reach it.
+
+scipy is imported inside the three functions that use it
+(`filter_by_consensus`, `remove_knn_outliers`, `dbscan`), never at module
+level. It loads the first time a run votes, filters or clusters, and not at
+all in a process that does none of these (the baseline modes, `synth`,
+`render`): its import roughly doubles the package's import time and memory.
 """
 
 from __future__ import annotations
@@ -25,9 +31,6 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
-from scipy.spatial import cKDTree
 
 from .errors import EmptySandboxError
 from .scene_model import (
@@ -73,6 +76,8 @@ def filter_by_consensus(
     All input clouds must belong to one object category; agreement is counted
     per distinct (trajectory, step) view id, the point's own view excluded.
     """
+    from scipy.spatial import cKDTree
+
     merged = merge_clouds(clouds)
     if len(merged) == 0:
         return merged
@@ -117,6 +122,8 @@ def _view_index(view_ids: tuple) -> np.ndarray:
 def remove_knn_outliers(cloud: ProxyCloud, k: int = 8, std_ratio: float = 2.0) -> ProxyCloud:
     """Optional statistical filter: drop points whose mean k-NN distance is
     more than std_ratio standard deviations above the population mean."""
+    from scipy.spatial import cKDTree
+
     n = len(cloud)
     if n <= k:
         return cloud
@@ -133,6 +140,10 @@ def remove_knn_outliers(cloud: ProxyCloud, k: int = 8, std_ratio: float = 2.0) -
 
 def dbscan(points: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
     """Deterministic DBSCAN; returns per-point cluster labels, -1 for noise."""
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+    from scipy.spatial import cKDTree
+
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     n = len(pts)
     labels = np.full(n, -1, dtype=np.int64)

@@ -54,10 +54,23 @@ def test_src_has_no_unused_imports():
     assert unused == {}
 
 
-def _imported_modules(source: str) -> set[str]:
-    """Top-level names of the modules a source imports from or imports."""
+def _eager_nodes(tree: ast.AST):
+    """Every node of `tree` outside function bodies: what runs when the
+    module itself is imported."""
+    todo = [tree]
+    while todo:
+        node = todo.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            todo.extend(ast.iter_child_nodes(node))
+
+
+def _imported_modules(source: str, eager_only: bool = False) -> set[str]:
+    """Top-level names of the modules a source imports from or imports;
+    with `eager_only`, only those imported when the module itself is."""
     modules = set()
-    for node in ast.walk(ast.parse(source)):
+    tree = ast.parse(source)
+    for node in _eager_nodes(tree) if eager_only else ast.walk(tree):
         if isinstance(node, ast.Import):
             modules.update(alias.name.split(".")[0] for alias in node.names)
         elif isinstance(node, ast.ImportFrom) and node.module and node.level == 0:
@@ -75,6 +88,25 @@ def test_only_image_io_hashes_pixels():
         if "hashlib" in _imported_modules(p.read_text(encoding="utf-8"))
     )
     assert importers == ["image_io.py"]
+
+
+def test_only_voting_clustering_imports_scipy():
+    # scipy's import roughly doubles the package's import time and memory;
+    # voting_clustering imports it inside the functions that vote, filter or
+    # cluster, so a run that does none of these never loads it
+    flagged = "import numpy\nfrom scipy.spatial import cKDTree\n"
+    in_class = "class Tree:\n    import scipy.spatial\n"
+    deferred = "def query(xyz):\n    from scipy.spatial import cKDTree\n    return cKDTree(xyz)\n"
+    assert _imported_modules(flagged, eager_only=True) == {"numpy", "scipy"}
+    assert _imported_modules(in_class, eager_only=True) == {"scipy"}
+    assert _imported_modules(deferred, eager_only=True) == set()
+    assert _imported_modules(deferred) == {"scipy"}
+    sources = {p.name: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
+    eager = sorted(n for n, s in sources.items() if "scipy" in _imported_modules(s, eager_only=True))
+    assert eager == []
+    assert sorted(n for n, s in sources.items() if "scipy" in _imported_modules(s)) == [
+        "voting_clustering.py"
+    ]
 
 
 def test_only_pipeline_schedules_on_threads():

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -131,6 +132,129 @@ def test_parse_answer_ambiguous_or_empty_raises():
         parse_answer("E", ("one", "two"))  # letter outside the choice range
     with pytest.raises(ValueError):
         parse_answer("A", ())
+
+
+def test_parse_answer_choice_past_the_letters_has_no_letter():
+    choices = ("left", "right", "behind", "in front", "above", "below")
+    assert parse_answer("<answer> left </answer>", choices)[0] == "A"
+    with pytest.raises(AnswerParseError):
+        parse_answer("<answer> below </answer>", choices)  # a sixth choice has no letter
+
+
+# Mock replies the parser fuzz mutates: an object-hint array as a grounding
+# reply holds it, and an answer with its thinking block.
+_HINT_REPLY = (
+    'Visible objects: [{"label": "red chair", "x": 40, "y": 52}, '
+    '{"label": "lamp", "x": 100.4, "y": 7}, {"label": "box", "x": 12, "y": 90}] done'
+)
+_ANSWER_REPLY = "<thinking> the lamp is nearer </thinking>\n<answer> B </answer>"
+_FUZZ_CHOICES = ("left", "right", "behind", "in front", "above", "below", "nowhere")
+_FUZZ_COORDS = (
+    "NaN", "Infinity", "-Infinity", "1e999", "-1e308", "1e308", "9" * 400, "-0", "0.5",
+    "true", "false", "null", '"12"', '"left"', "[]", "{}", "[3, 4]",
+)
+_FUZZ_LABELS = ("1", "2.5", "null", "true", "[]", '{"a": 1}', '""', '"\\u00e9t\\u00e9"', '"\\ud800"')
+_FUZZ_TEXT = ("é", "中文", "\u200b", "\U0001f600", "\ud800", "\x00", "Ａ", "Ｂ", "ß", "\u0301", "İ", "\n")
+
+
+def _pick(rng, options):
+    return options[int(rng.integers(len(options)))]
+
+
+def _replace_one(rng, pattern: str, text: str, new: str) -> str:
+    matches = list(re.finditer(pattern, text))
+    if not matches:
+        return text
+    m = _pick(rng, matches)
+    return text[: m.start(1)] + new + text[m.end(1) :]
+
+
+def _fuzz_mutations():
+    """Named corruptions of a reply; nesting adds at most 16 levels per use."""
+
+    def truncate(rng, text):
+        return text[: int(rng.integers(len(text) + 1))]
+
+    def coordinate(rng, text):
+        return _replace_one(rng, r'"[xy]": (-?[\d.]+)', text, _pick(rng, _FUZZ_COORDS))
+
+    def label(rng, text):
+        return _replace_one(rng, r'"label": ("[^"]*")', text, _pick(rng, _FUZZ_LABELS))
+
+    def nest(rng, text):
+        d = int(rng.integers(1, 17))
+        at = int(rng.integers(len(text) + 1))
+        return _pick(rng, (
+            "[" * d + text + "]" * d,  # the whole reply wrapped
+            text[:at] + "[" * d + text[at:],  # opened and never closed
+            _replace_one(rng, r'"[xy]": (-?[\d.]+)', text, "[" * d + "7" + "]" * d),
+        ))
+
+    def non_ascii(rng, text):
+        for _ in range(int(rng.integers(1, 4))):
+            at = int(rng.integers(len(text) + 1))
+            text = text[:at] + _pick(rng, _FUZZ_TEXT) + text[at:]
+        return text
+
+    def answer_blocks(rng, text):
+        block = "<answer> C </answer>"
+        return _pick(rng, (
+            re.sub(r"<answer>.*?</answer>", "", text, flags=re.S),  # missing
+            text + "\n" + block,  # repeated
+            text + block + block.replace("C", "A"),  # repeated, disagreeing
+            text.replace("</answer>", ""),  # never closed
+            text.replace("answer>", "ANSWER>"),
+            text + "<answer></answer>",  # empty
+            text + "<answer><answer> D </answer></answer>",  # nested
+        ))
+
+    def choice_text(rng, text):
+        # name a choice by its text, the fuzz's choices run past the letters
+        return _replace_one(rng, r"<answer>(.*?)</answer>", text, f" {_pick(rng, _FUZZ_CHOICES)} ")
+
+    return [truncate, coordinate, label, nest, non_ascii, answer_blocks, choice_text]
+
+
+def test_parser_fuzz_raises_only_parse_errors():
+    # every mutated reply parses or raises the parser's own error; the one
+    # other exception is parse_answer's ValueError for an empty choice list
+    rng = np.random.default_rng(20261022)
+    mutations = _fuzz_mutations()
+    used = {m.__name__: 0 for m in mutations}
+    outcomes = {"hints": 0, "HintParseError": 0, "answer": 0, "AnswerParseError": 0, "no choices": 0}
+    for n in range(4000):
+        text = _pick(rng, (_HINT_REPLY, _ANSWER_REPLY, _HINT_REPLY + "\n" + _ANSWER_REPLY))
+        for _ in range(int(rng.integers(1, 4))):
+            mutate = _pick(rng, mutations)
+            used[mutate.__name__] += 1
+            text = mutate(rng, text)
+        choices = _FUZZ_CHOICES[: int(rng.integers(len(_FUZZ_CHOICES) + 1))]
+        try:
+            hints, _ = parse_object_hints(text, 128, 96)
+        except HintParseError:
+            outcomes["HintParseError"] += 1
+        except Exception as err:
+            raise AssertionError(f"case {n}: parse_object_hints({text!r})") from err
+        else:
+            outcomes["hints"] += 1
+            assert hints, n
+            for hint in hints:
+                assert isinstance(hint.label, str) and hint.label, n
+                assert 0 <= hint.center_px[0] < 128 and 0 <= hint.center_px[1] < 96, n
+        try:
+            letter, _ = parse_answer(text, choices)
+        except AnswerParseError:
+            outcomes["AnswerParseError"] += 1
+        except ValueError:
+            assert choices == (), n
+            outcomes["no choices"] += 1
+        except Exception as err:
+            raise AssertionError(f"case {n}: parse_answer({text!r}, {choices!r})") from err
+        else:
+            outcomes["answer"] += 1
+            assert letter in "ABCDE"[: len(choices)], n
+    assert min(used.values()) > 100, used
+    assert min(outcomes.values()) > 20, outcomes
 
 
 def test_describe_turns_format():

@@ -149,6 +149,8 @@ def test_record_validation():
         QARecord("q1", {}, "?", ("only one",), "A", "EgoM")
     with pytest.raises(ValueError):
         QARecord("q1", {}, "?", ("x", "y"), "C", "EgoM")
+    with pytest.raises(ValueError, match="at most 5 choices"):
+        QARecord("q1", {}, "?", tuple("uvwxyz"), "A", "EgoM")  # the sixth has no letter
     assert len(CATEGORIES) == 5
     assert LETTERS == "ABCDE"
 

@@ -29,6 +29,7 @@ from sandbox3d.synthetic_world import (
     GenerationError,
     WorldBounds,
     WorldSpec,
+    _cuboid_window,
     _ground_window,
     _pixel_dirs,
     bounds_from_dict,
@@ -396,6 +397,13 @@ def _render_cases():
         cases += [(world, pose) for pose in poses]
     world = _world_with_k(4)
     cases += [(world, pose) for pose in _trajectory_poses(world, 2, 2)]
+    for k in (3, 8):  # the turned fans' first steps leave cuboids wholly behind
+        world = _world_with_k(k)
+        cases += [
+            (world, world.input_pose.compose(spec.poses[0]))
+            for motion in (AbstractMotion.LEFT, AbstractMotion.RIGHT)
+            for spec in instantiate_trajectories(motion, 3, 1, 0.25)
+        ]
     off_centre = CameraIntrinsics(430.0, 436.5, 371.25, 198.75, 640, 480)
     for intr in (default_intrinsics(512, 512), off_centre):
         world = _world_with_k(5, intr)
@@ -408,7 +416,7 @@ def _render_cases():
 
 def test_windowed_render_matches_full_raster_reference():
     cases = _render_cases()
-    straddling = ties = 0
+    straddling = behind = ties = 0
     for n, (world, pose) in enumerate(cases):
         intr = world.input_intrinsics
         stack = instance_depths(world, pose, intr)
@@ -431,8 +439,12 @@ def test_windowed_render_matches_full_raster_reference():
         for idx, cub in enumerate(world.cuboids):
             z = pose.inverse_transform(box_corners(cub.box()))[:, 2]
             straddling += bool(z.min() <= 1e-6 < z.max() and np.isfinite(stack[idx]).any())
+            if z.max() < -1e-6:  # wholly behind: skipped, no slab test at all
+                assert _cuboid_window(cub, cub.axes(), pose, intr) is None, (n, idx)
+                behind += 1
     assert len(cases) > 200
     assert straddling > 10  # the full-window fallback drew visible hits
+    assert behind > 200  # cuboids wholly behind the camera, turned fans among them
     assert ties > 1000  # pixels where two layers share the nearest depth
 
 
